@@ -114,14 +114,12 @@ class CoefficientSet:
 
     def __post_init__(self):
         object.__setattr__(self, "funcs", tuple(self.funcs))
-        if self.d1 is not None:
-            object.__setattr__(self, "d1", tuple(self.d1))
-            if len(self.d1) != len(self.funcs):
-                raise ValueError("d1 arity mismatch")
-        if self.d2 is not None:
-            object.__setattr__(self, "d2", tuple(self.d2))
-            if len(self.d2) != len(self.funcs):
-                raise ValueError("d2 arity mismatch")
+        for name in ("d1", "d2"):
+            derivs = getattr(self, name)
+            if derivs is not None:
+                object.__setattr__(self, name, tuple(derivs))
+                if len(derivs) != len(self.funcs):
+                    raise ValueError(f"{name} arity mismatch")
 
     @property
     def r(self) -> int:
@@ -134,15 +132,21 @@ class CoefficientSet:
         return out
 
 
+def _combine(weights, mats, n: int) -> np.ndarray:
+    """sum_a w_a M_a as an n x n matrix, accumulated from zeros in order.
+    Skipping zero weights leaves the sum bit-identical for finite terms."""
+    out = np.zeros((n, n))
+    for w, m in zip(weights, mats):
+        if w != 0.0:
+            out += w * m
+    return out
+
+
 def assemble_A(basis: AlgebraBasis, coeffs: CoefficientSet, t: float) -> np.ndarray:
     """A(t) = sum_a b_a(t) M_a."""
     if coeffs.r != basis.r:
         raise ValueError(f"coefficient arity {coeffs.r} != basis rank {basis.r}")
-    b = coeffs.values(t)
-    a = np.zeros((basis.n, basis.n))
-    for ba, m in zip(b, basis.generators):
-        a += ba * m
-    return a
+    return _combine(coeffs.values(t), basis.generators, basis.n)
 
 
 def assemble_A_derivatives(
@@ -163,18 +167,9 @@ def assemble_A_derivatives(
             lambda s: assemble_A(basis, coeffs, s), t, step
         )
 
-    if coeffs.d1 is not None:
-        d1 = np.zeros((basis.n, basis.n))
-        for f, m in zip(coeffs.d1, basis.generators):
-            d1 += f(t) * m
-    else:
-        d1 = fd1
-    if coeffs.d2 is not None:
-        d2 = np.zeros((basis.n, basis.n))
-        for f, m in zip(coeffs.d2, basis.generators):
-            d2 += f(t) * m
-    else:
-        d2 = fd2
+    analytic = lambda fs: _combine((f(t) for f in fs), basis.generators, basis.n)
+    d1 = fd1 if coeffs.d1 is None else analytic(coeffs.d1)
+    d2 = fd2 if coeffs.d2 is None else analytic(coeffs.d2)
     if not (np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))):
         raise ValueError(f"non-finite coefficient derivative at t={t}")
     return d1, d2

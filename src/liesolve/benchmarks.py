@@ -1,10 +1,9 @@
 """Benchmark Lie systems beyond the curved-space family: the planar
-limit-cycle system with its local action on the diagonal group, and the
-Riccati superposition-rule verifier; plus the stock coefficient set used by
-the curved-space experiment."""
+limit-cycle system, whose GroupAction is local on the diagonal group, and
+the Riccati vector field with its superposition rule; plus the stock
+coefficient set used by the curved-space experiment."""
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,21 +21,6 @@ def ck_benchmark_coefficients() -> CoefficientSet:
 
 
 # --- planar limit-cycle system -------------------------------------------
-
-
-@dataclass(frozen=True)
-class DiagonalGroupElement:
-    """diag(a, b) with a, b > 0; second-kind coordinates are (ln a, ln b)."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):
-            raise ValueError("diagonal group elements need a, b > 0")
-
-    def matrix(self) -> np.ndarray:
-        return np.diag([self.a, self.b])
 
 
 def rotation_flow(t: float, p) -> np.ndarray:
@@ -59,20 +43,6 @@ def radial_flow(t: float, p) -> np.ndarray:
     return p / math.sqrt(denom)
 
 
-def limit_cycle_action(g: DiagonalGroupElement, p) -> np.ndarray:
-    """phi(diag(a,b), (x,y)): rotate by ln a, scale by
-    1/sqrt(x^2 + y^2 - (x^2 + y^2 - 1) b^2).  Leaves the unit circle and the
-    origin invariant; local in (a, b)."""
-    p = np.asarray(p, dtype=float)
-    r2 = float(p @ p)
-    denom = r2 - (r2 - 1.0) * g.b ** 2
-    if denom <= 0.0:
-        raise ActionDomainError(
-            f"action undefined: denominator {denom:g} <= 0 (image escapes to infinity)"
-        )
-    return rotation_flow(math.log(g.a), p) / math.sqrt(denom)
-
-
 def _limit_cycle_extract(g: np.ndarray):
     g = np.asarray(g, dtype=float)
     if g[0, 0] <= 0.0 or g[1, 1] <= 0.0:
@@ -83,6 +53,10 @@ def _limit_cycle_extract(g: np.ndarray):
 def limit_cycle_system(b1, b2) -> LieSystemSpec:
     """dx/dt = b1 y + b2 (x^2+y^2-1) x, dy/dt = -b1 x + b2 (x^2+y^2-1) y,
     lifted to the abelian group of positive diagonal 2x2 matrices.
+
+    The action is phi(diag(a, b), p) = rotation_flow(ln a, radial_flow(ln b, p)),
+    i.e. p rotated by ln a and scaled by 1/sqrt(r^2 - (r^2 - 1) b^2); it
+    leaves the unit circle and the origin invariant and is local in (a, b).
 
     The attached invariant is r^2 = x^2 + y^2; it is conserved exactly only
     on the unit-circle stratum, which is where the drift tests start.
@@ -114,11 +88,12 @@ def limit_cycle_system(b1, b2) -> LieSystemSpec:
 
 
 def riccati_rhs(b1, b2, b12):
-    """dx/dt = b1(t) + b2(t) x + b12(t) x^2 as a 1-vector field."""
+    """dx/dt = b1(t) + b2(t) x + b12(t) x^2, componentwise on a vector of
+    independent solutions."""
 
     def rhs(t, x):
-        x0 = float(np.asarray(x).reshape(()) if np.ndim(x) == 0 else np.asarray(x)[0])
-        return np.array([b1(t) + b2(t) * x0 + b12(t) * x0 * x0])
+        x = np.asarray(x, dtype=float)
+        return b1(t) + b2(t) * x + b12(t) * x ** 2
 
     return rhs
 

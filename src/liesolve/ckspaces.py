@@ -1,12 +1,12 @@
 """The Cayley-Klein family SO_{k1,k2}(3): kappa-trigonometry, generators,
-closed-form exponentials, flows, second-kind canonical coordinates, the
-linear action on ambient R^3, and the quadratic invariant.
+closed-form exponentials, second-kind canonical coordinates, the quadratic
+invariant, and the Lie system on ambient R^3 with its group action.
 
 Sign convention: the group-side generators below are the negatives of the
 manifold vector-field representation, so exp(l M_a) literally equals the
-flow matrix of the corresponding vector field and the action is plain
-phi(g, x) = g x.  The coordinate extraction reads -g21/g11, -g31, -g32/g33
-accordingly.
+flow matrix of the corresponding vector field (the flows are
+ck_exp_closed(ck, a, l) @ x) and the action is plain phi(g, x) = g x.
+The coordinate extraction reads -g21/g11, -g31, -g32/g33 accordingly.
 """
 
 import math
@@ -143,24 +143,6 @@ def ck_exp_closed(ck: CKParams, alpha: int, lam: float) -> np.ndarray:
     raise ValueError(f"generator index must be 0, 1 or 2, got {alpha}")
 
 
-def ck_flow(ck: CKParams, alpha: int, lam: float, x) -> np.ndarray:
-    """Flow of the alpha-th fundamental vector field (linear in x; equals
-    ck_exp_closed(ck, alpha, lam) @ x)."""
-    x = np.asarray(x, dtype=float)
-    k1, k2 = ck.kappa1, ck.kappa2
-    if alpha == 0:
-        c, s = ck_cos(k1, lam), ck_sin(k1, lam)
-        return np.array([x[0] * c + k1 * x[1] * s, x[1] * c - x[0] * s, x[2]])
-    if alpha == 1:
-        k12 = k1 * k2
-        c, s = ck_cos(k12, lam), ck_sin(k12, lam)
-        return np.array([x[0] * c + k12 * x[2] * s, x[1], x[2] * c - x[0] * s])
-    if alpha == 2:
-        c, s = ck_cos(k2, lam), ck_sin(k2, lam)
-        return np.array([x[0], x[1] * c + k2 * x[2] * s, x[2] * c - x[1] * s])
-    raise ValueError(f"generator index must be 0, 1 or 2, got {alpha}")
-
-
 def ck_extract_coords(ck: CKParams, g: np.ndarray):
     """Second-kind canonical coordinates (l1, l2, l3) near zero with
     g = exp(l1 M_P1) exp(l2 M_P2) exp(l3 M_J12).
@@ -178,21 +160,6 @@ def ck_extract_coords(ck: CKParams, g: np.ndarray):
     lam2 = _inv_sin(ck.kappa1 * ck.kappa2, -g[2, 0])
     lam3 = _inv_tan(ck.kappa2, -g[2, 1] / g[2, 2])
     return lam1, lam2, lam3
-
-
-def ck_action(ck: CKParams, g: np.ndarray, x, mode: str = "linear") -> np.ndarray:
-    """phi(g, x): either the linear matrix action or the composition of the
-    three flows through the extracted coordinates (they agree on the chart)."""
-    g = np.asarray(g, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if mode == "linear":
-        return g @ x
-    if mode == "flow-composition":
-        lam1, lam2, lam3 = ck_extract_coords(ck, g)
-        out = ck_flow(ck, 2, lam3, x)
-        out = ck_flow(ck, 1, lam2, out)
-        return ck_flow(ck, 0, lam1, out)
-    raise ValueError(f"unknown action mode {mode!r}")
 
 
 def ck_invariant(ck: CKParams, x) -> float:
@@ -219,14 +186,13 @@ def ck_system_rhs(ck: CKParams, coeffs: CoefficientSet, t: float, x) -> np.ndarr
 def ck_lie_system(
     ck: CKParams, coeffs: CoefficientSet, action_mode: str = "linear"
 ) -> LieSystemSpec:
-    """Bundle the CK data into a solvable system on ambient R^3."""
+    """Bundle the CK data into a solvable system on ambient R^3; the
+    flow-composition action agrees with the linear one on the chart."""
     basis = ck_generators(ck)
     if action_mode == "linear":
         action = GroupAction.linear()
     elif action_mode == "flow-composition":
-        flows = tuple(
-            (lambda a: (lambda lam, x: ck_flow(ck, a, lam, x)))(a) for a in range(3)
-        )
+        flows = tuple(lambda lam, x, a=a: ck_exp_closed(ck, a, lam) @ x for a in range(3))
         action = GroupAction.flow_composition(
             flows=flows, extract=lambda g: ck_extract_coords(ck, g)
         )

@@ -12,20 +12,22 @@ import argparse
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from .benchmarks import (
     ck_benchmark_coefficients,
     limit_cycle_system,
+    riccati_rhs,
     riccati_rho_from_solution,
     riccati_superposition,
 )
 from .ckspaces import CKParams, ck_invariant, ck_lie_system
-from .integrators import StepperConfig, rk4_direct_step
+from .integrators import StepperConfig
 from .liesystem import (
     ActionDomainError,
-    Trajectory,
+    NonFiniteStateError,
     estimate_order,
     global_error,
     solve,
@@ -110,28 +112,15 @@ def run_ck(args) -> int:
     return 0
 
 
-def _limit_cycle_geometric(system, x0, t0, t1, n, method):
+def _limit_cycle_trajectory(system, x0, t0, t1, n, method):
+    """The (method, n) run, or its partial trajectory if it stops early."""
     try:
-        traj = solve(system, x0, t0, t1, n, StepperConfig(method=method))
-    except ActionDomainError as err:
+        if method == "rk4":
+            return solve_direct_rk4(system, x0, t0, t1, n)
+        return solve(system, x0, t0, t1, n, StepperConfig(method=method))
+    except (ActionDomainError, NonFiniteStateError) as err:
         print(f"note: {err} (writing partial trajectory)", file=sys.stderr)
-        traj = err.partial
-    return traj
-
-
-def _limit_cycle_rk4(system, x0, t0, t1, n):
-    h = (t1 - t0) / n
-    times = [t0]
-    points = [np.asarray(x0, dtype=float)]
-    for k in range(n):
-        try:
-            x = rk4_direct_step(system.rhs, t0 + k * h, h, points[-1])
-        except FloatingPointError:
-            print(f"note: rk4 state blew up at step {k}; truncating", file=sys.stderr)
-            break
-        times.append(t0 + (k + 1) * h)
-        points.append(x)
-    return Trajectory(times=np.array(times), points=np.array(points))
+        return err.partial
 
 
 def run_limit_cycle(args) -> int:
@@ -151,10 +140,7 @@ def run_limit_cycle(args) -> int:
 
     for method, n in pairs:
         h = (args.t1 - args.t0) / n
-        if method == "rk4":
-            traj = _limit_cycle_rk4(system, x0, args.t0, args.t1, n)
-        else:
-            traj = _limit_cycle_geometric(system, x0, args.t0, args.t1, n, method)
+        traj = _limit_cycle_trajectory(system, x0, args.t0, args.t1, n, method)
         path = _sibling(out, f"_{method}_h{h:g}")
         _write_csv(
             path,
@@ -210,32 +196,21 @@ def run_riccati_check(args) -> int:
     if len(set(inits)) != 4:
         raise SystemExit("error: initial values must be pairwise distinct")
     n = _steps_from_args(args, default_h=1e-3)
-    h = (args.t1 - args.t0) / n
-
-    def rhs(t, x):
-        return np.array([b1(t) + b2(t) * x[0] + b12(t) * x[0] ** 2])
-
-    sols = []
-    for x_init in inits:
-        x = np.array([x_init])
-        track = [x_init]
-        for k in range(n):
-            x = rk4_direct_step(rhs, args.t0 + k * h, h, x)
-            track.append(float(x[0]))
-        sols.append(track)
+    # The four initial values integrate side by side as one 4-vector.
+    riccati = SimpleNamespace(rhs=riccati_rhs(b1, b2, b12))
+    traj = solve_direct_rk4(riccati, inits, args.t0, args.t1, n)
 
     rho = riccati_rho_from_solution(inits[0], inits[1], inits[2], inits[3])
     rows = []
     max_err = 0.0
-    for k in range(n + 1):
-        t = args.t0 + k * h
+    for t, (x1, x2, x3, x4) in zip(traj.times, traj.points):
         try:
-            rebuilt = riccati_superposition(sols[0][k], sols[1][k], sols[2][k], rho)
+            rebuilt = riccati_superposition(x1, x2, x3, rho)
         except ZeroDivisionError as err:
             raise SystemExit(f"error: superposition degenerate at t={t:g}: {err}")
-        err_k = abs(rebuilt - sols[3][k])
+        err_k = abs(rebuilt - x4)
         max_err = max(max_err, err_k)
-        rows.append([t, sols[3][k], rebuilt, err_k])
+        rows.append([t, x4, rebuilt, err_k])
     out = Path(args.out if args.out else "riccati_check.csv")
     _write_csv(out, "t;direct;superposed;abs_err", rows)
     ok = max_err <= args.tol

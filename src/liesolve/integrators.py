@@ -10,6 +10,7 @@ from .algebra import (
     MAX_DEXPINV_ORDER,
     AlgebraBasis,
     CoefficientSet,
+    _combine,
     assemble_A,
     assemble_A_derivatives,
     dexpinv,
@@ -19,6 +20,21 @@ from .matrixcore import commutator, frobenius_norm, mat_exp
 # Absolute-convergence bound for the increment series: a step is safe when
 # the integral of ||A|| over it stays below this.
 MAGNUS_CONVERGENCE_RADIUS = 1.086868702
+
+
+class _StepError(Exception):
+    """A solve stopped at a step; carries the failing step index and the
+    partial trajectory when raised inside a solve loop."""
+
+    def __init__(self, message, step: Optional[int] = None, partial=None):
+        super().__init__(message)
+        self.step = step
+        self.partial = partial
+
+
+class NonFiniteStateError(_StepError, FloatingPointError):
+    """The group element or the manifold state stopped being finite (the
+    solution blew up)."""
 
 
 @dataclass(frozen=True)
@@ -31,12 +47,9 @@ class ButcherTable:
     order: int
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        c = np.asarray(self.c, dtype=float)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        for name in ("a", "b", "c"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        a, b, c = self.a, self.b, self.c
         s = len(b)
         if a.shape != (s, s) or c.shape != (s,):
             raise ValueError("tableau dimensions are inconsistent")
@@ -102,12 +115,13 @@ class StepperConfig:
 
 @dataclass
 class GroupTrajectory:
-    """Times, group elements Y_k, and algebra increments W_k with
-    Y_{k+1} = exp(W_k) Y_k."""
+    """Times, group elements Y_k, algebra increments W_k and their
+    exponentials E_k = exp(W_k), with Y_{k+1} = E_k Y_k."""
 
     times: np.ndarray
     elements: list
     increments: list
+    exps: list
 
 
 def magnus2_increment(
@@ -152,22 +166,12 @@ def rkmk_increment(
         raise ValueError("h must be positive")
     if truncation_order < butcher.order - 2:
         raise ValueError("truncation order violates j >= p - 2")
-    n = basis.n
-    stages = butcher.stages
     f = []
-    for l in range(stages):
-        theta = np.zeros((n, n))
-        for m in range(l):
-            if butcher.a[l, m] != 0.0:
-                theta += butcher.a[l, m] * f[m]
-        theta *= h
+    for l in range(butcher.stages):
+        theta = h * _combine(butcher.a[l, :l], f, basis.n)
         a_stage = assemble_A(basis, coeffs, t_k + butcher.c[l] * h)
         f.append(dexpinv(theta, a_stage, truncation_order))
-    out = np.zeros((n, n))
-    for l in range(stages):
-        if butcher.b[l] != 0.0:
-            out += butcher.b[l] * f[l]
-    return h * out
+    return h * _combine(butcher.b, f, basis.n)
 
 
 def make_increment_fn(
@@ -182,6 +186,16 @@ def make_increment_fn(
     )
 
 
+def _time_grid(t0: float, t1: float, n_steps: int):
+    """(h, times) of a fixed-step run over [t0, t1] in n_steps steps."""
+    if t1 <= t0:
+        raise ValueError("t1 must exceed t0")
+    if n_steps < 1:
+        raise ValueError("need at least one step")
+    h = (t1 - t0) / n_steps
+    return h, t0 + h * np.arange(n_steps + 1)
+
+
 def integrate_group(
     basis: AlgebraBasis,
     coeffs: CoefficientSet,
@@ -191,25 +205,30 @@ def integrate_group(
     n_steps: int,
     y0: Optional[np.ndarray] = None,
 ) -> GroupTrajectory:
-    """Fixed-step solve of dY/dt = A(t) Y via Y_{k+1} = exp(W_k) Y_k."""
-    if t1 <= t0:
-        raise ValueError("t1 must exceed t0")
-    if n_steps < 1:
-        raise ValueError("need at least one step")
-    h = (t1 - t0) / n_steps
+    """Fixed-step solve of dY/dt = A(t) Y via Y_{k+1} = exp(W_k) Y_k.
+
+    A Y_{k+1} that is not finite raises NonFiniteStateError with step=k and
+    the group trajectory up to t_k."""
+    h, times = _time_grid(t0, t1, n_steps)
     y = np.eye(basis.n) if y0 is None else np.asarray(y0, dtype=float).copy()
     increment = make_increment_fn(basis, coeffs, config)
-    times = t0 + h * np.arange(n_steps + 1)
     elements = [y]
     increments = []
+    exps = []
     for k in range(n_steps):
         w = increment(times[k], h)
-        y = mat_exp(w) @ y
+        e = mat_exp(w)
+        y = e @ y
         if not np.all(np.isfinite(y)):
-            raise FloatingPointError(f"non-finite group element at step {k}")
+            raise NonFiniteStateError(
+                f"non-finite group element at step {k} (t={times[k]:g})",
+                step=k,
+                partial=GroupTrajectory(times[: k + 1], elements, increments, exps),
+            )
         elements.append(y)
         increments.append(w)
-    return GroupTrajectory(times=times, elements=elements, increments=increments)
+        exps.append(e)
+    return GroupTrajectory(times=times, elements=elements, increments=increments, exps=exps)
 
 
 def magnus_radius_check(

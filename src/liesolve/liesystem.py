@@ -1,9 +1,11 @@
-"""Lie systems and their geometric solver: the group trajectory is pushed to
-the manifold through a Lie group action, step by step.
+"""Lie systems and their geometric solver, in the method's two stages:
+integrate_group solves dY/dt = A(t) Y, then the group action moves the point
+to the manifold step by step.
 
-The manifold update is the incremental one, x_{k+1} = phi(exp(W_k), x_k).
-That is the reading consistent with the cumulative form x(t) = phi(Y(t), x0)
-and with Y_{k+1} = exp(W_k) Y_k; both paths are cross-checked in the tests.
+The manifold update is the incremental one, x_{k+1} = phi(E_k, x_k) with
+E_k = exp(W_k).  That is the reading consistent with the cumulative form
+x(t) = phi(Y(t), x0) and with Y_{k+1} = E_k Y_k; both paths are cross-checked
+in the tests.
 """
 
 from dataclasses import dataclass
@@ -14,22 +16,18 @@ import numpy as np
 from .algebra import AlgebraBasis, CoefficientSet
 from .integrators import (
     GroupTrajectory,
+    NonFiniteStateError,
     StepperConfig,
-    make_increment_fn,
+    _StepError,
+    _time_grid,
+    integrate_group,
     rk4_direct_step,
 )
-from .matrixcore import mat_exp
 
 
-class ActionDomainError(RuntimeError):
+class ActionDomainError(_StepError, RuntimeError):
     """The group action is local and was asked for a point outside its
-    domain.  Carries the failing step index and the partial trajectory when
-    raised inside a solve loop."""
-
-    def __init__(self, message, step: Optional[int] = None, partial=None):
-        super().__init__(message)
-        self.step = step
-        self.partial = partial
+    domain."""
 
 
 class GroupAction:
@@ -40,7 +38,7 @@ class GroupAction:
     (l_1..l_r) of g, then apply phi = F_1(l_1, F_2(l_2, ... F_r(l_r, x))).
     """
 
-    def __init__(self, variant: str, flows=None, extract=None, guard=None):
+    def __init__(self, variant: str, flows=None, extract=None):
         if variant not in ("linear", "flow-composition"):
             raise ValueError(f"unknown action variant {variant!r}")
         if variant == "flow-composition" and (flows is None or extract is None):
@@ -48,23 +46,20 @@ class GroupAction:
         self.variant = variant
         self.flows = tuple(flows) if flows is not None else ()
         self.extract = extract
-        self.guard = guard
 
     @classmethod
     def linear(cls) -> "GroupAction":
         return cls("linear")
 
     @classmethod
-    def flow_composition(cls, flows, extract, guard=None) -> "GroupAction":
-        return cls("flow-composition", flows=flows, extract=extract, guard=guard)
+    def flow_composition(cls, flows, extract) -> "GroupAction":
+        return cls("flow-composition", flows=flows, extract=extract)
 
     def act(self, g: np.ndarray, x: np.ndarray) -> np.ndarray:
         g = np.asarray(g, dtype=float)
         x = np.asarray(x, dtype=float)
         if self.variant == "linear":
             return g @ x
-        if self.guard is not None and not self.guard(g, x):
-            raise ActionDomainError("point outside the action's domain")
         lams = self.extract(g)
         if len(lams) != len(self.flows):
             raise ValueError("extracted coordinate count does not match flow count")
@@ -114,63 +109,68 @@ def solve(
     n_steps: int,
     config: StepperConfig,
 ) -> Trajectory:
-    """Geometric solve: W_k from the configured stepper, then
-    x_{k+1} = phi(exp(W_k), x_k), retaining Y_{k+1} = exp(W_k) Y_k."""
-    if t1 <= t0:
-        raise ValueError("t1 must exceed t0")
-    if n_steps < 1:
-        raise ValueError("need at least one step")
+    """Geometric solve: integrate_group gives E_k = exp(W_k) and
+    Y_{k+1} = E_k Y_k, then x_{k+1} = phi(E_k, x_k) moves the point.
+
+    A failing step k raises ActionDomainError (outside the action's domain)
+    or NonFiniteStateError with step=k and the trajectory up to t_k.  When
+    Y blows up at step k, the steps before k are still transported, so an
+    earlier action failure is the one reported."""
     x = np.asarray(x0, dtype=float)
     if x.shape != (sys.dim,):
         raise ValueError(f"initial point must have dimension {sys.dim}")
-    h = (t1 - t0) / n_steps
-    times = t0 + h * np.arange(n_steps + 1)
-    increment = make_increment_fn(sys.basis, sys.coeffs, config)
-    y = np.eye(sys.basis.n)
-    points = [x]
-    elements = [y]
-    increments = []
-    for k in range(n_steps):
-        w = increment(times[k], h)
-        e = mat_exp(w)
+    try:
+        group, failure = integrate_group(sys.basis, sys.coeffs, config, t0, t1, n_steps), None
+    except NonFiniteStateError as err:
+        group, failure = err.partial, err
+    times, points = group.times, [x]
+    for k, e in enumerate(group.exps):
         try:
             x = sys.action.act(e, x)
         except ActionDomainError as err:
-            partial = Trajectory(
-                times=times[: k + 1],
-                points=np.array(points),
-                group=GroupTrajectory(times[: k + 1], elements, increments),
+            failure = ActionDomainError(
+                f"group action undefined at step {k} (t={times[k]:g}): {err}", step=k
             )
-            raise ActionDomainError(
-                f"group action undefined at step {k} (t={times[k]:g}): {err}",
-                step=k,
-                partial=partial,
-            ) from err
+            failure.__cause__ = err
+            break
         if not np.all(np.isfinite(x)):
-            raise FloatingPointError(f"non-finite state at step {k}")
-        y = e @ y
+            failure = NonFiniteStateError(f"non-finite state at step {k} (t={times[k]:g})", step=k)
+            break
         points.append(x)
-        elements.append(y)
-        increments.append(w)
-    return Trajectory(
-        times=times,
-        points=np.array(points),
-        group=GroupTrajectory(times=times, elements=elements, increments=increments),
-    )
+    if failure is not None:
+        failure.partial = _partial(group, points, failure.step)
+        raise failure
+    return Trajectory(times=times, points=np.array(points), group=group)
+
+
+def _partial(group: GroupTrajectory, points: list, k: int) -> Trajectory:
+    """The trajectory up to t_k: k+1 points and group elements, k steps.
+    Cuts the run's own group in place, so nothing past t_k stays referenced."""
+    group.times = group.times[: k + 1]
+    del group.elements[k + 1 :], group.increments[k:], group.exps[k:]
+    return Trajectory(times=group.times, points=np.array(points), group=group)
 
 
 def solve_direct_rk4(
     sys: LieSystemSpec, x0: Sequence[float], t0: float, t1: float, n_steps: int
 ) -> Trajectory:
-    """Classical RK4 on the raw coordinates; ignores all the geometry."""
-    if t1 <= t0:
-        raise ValueError("t1 must exceed t0")
-    h = (t1 - t0) / n_steps
-    times = t0 + h * np.arange(n_steps + 1)
+    """Classical RK4 on the raw coordinates; ignores all the geometry and
+    reads only sys.rhs.
+
+    A state that blows up at step k raises NonFiniteStateError with step=k
+    and the trajectory up to t_k."""
+    h, times = _time_grid(t0, t1, n_steps)
     x = np.asarray(x0, dtype=float)
     points = [x]
     for k in range(n_steps):
-        x = rk4_direct_step(sys.rhs, times[k], h, x)
+        try:
+            x = rk4_direct_step(sys.rhs, times[k], h, x)
+        except FloatingPointError as err:
+            raise NonFiniteStateError(
+                f"non-finite RK4 state at step {k} (t={times[k]})",
+                step=k,
+                partial=Trajectory(times=times[: k + 1], points=np.array(points)),
+            ) from err
         points.append(x)
     return Trajectory(times=times, points=np.array(points))
 

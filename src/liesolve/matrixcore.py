@@ -16,21 +16,6 @@ class DimensionMismatchError(ValueError):
     pass
 
 
-def square_matrix(entries) -> np.ndarray:
-    """Validate and freeze an n x n real matrix.
-
-    Returns a read-only float64 array; raises on non-square shape or
-    non-finite entries.
-    """
-    a = np.array(entries, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    a.flags.writeable = False
-    return a
-
-
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """[A, B] = AB - BA."""
     a = np.asarray(a, dtype=float)

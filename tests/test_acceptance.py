@@ -18,7 +18,6 @@ from liesolve.benchmarks import (
 )
 from liesolve.ckspaces import (
     CKParams,
-    ck_action,
     ck_bilinear_form,
     ck_cos,
     ck_exp_closed,

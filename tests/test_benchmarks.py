@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from liesolve.benchmarks import (
-    DiagonalGroupElement,
-    limit_cycle_action,
     limit_cycle_system,
-    radial_flow,
+    riccati_rhs,
     riccati_rho_from_solution,
     riccati_superposition,
-    rotation_flow,
 )
 from liesolve.integrators import (
     RK4_TABLE,
@@ -30,20 +27,23 @@ def default_system():
 # --- diagonal group and action -------------------------------------------
 
 
+def act(a, b, p):
+    return default_system().action.act(np.diag((a, b)), p)
+
+
 def test_diagonal_element_positivity():
-    with pytest.raises(ValueError):
-        DiagonalGroupElement(0.0, 1.0)
-    g = DiagonalGroupElement(2.0, 0.5)
-    assert np.allclose(g.matrix(), np.diag([2.0, 0.5]))
+    for a, b in ((0.0, 1.0), (1.0, -0.5)):
+        with pytest.raises(ActionDomainError):
+            act(a, b, np.array([0.3, -0.2]))
 
 
 def test_action_identity_element():
     p = np.array([0.3, -0.2])
-    assert np.allclose(limit_cycle_action(DiagonalGroupElement(1.0, 1.0), p), p)
+    assert np.allclose(act(1.0, 1.0, p), p)
 
 
 def test_action_fixes_origin():
-    out = limit_cycle_action(DiagonalGroupElement(1.7, 0.4), np.zeros(2))
+    out = act(1.7, 0.4, np.zeros(2))
     assert np.allclose(out, 0.0)
 
 
@@ -52,8 +52,7 @@ def test_action_preserves_unit_circle():
     for _ in range(20):
         theta = rng.uniform(0, 2 * math.pi)
         p = np.array([math.cos(theta), math.sin(theta)])
-        g = DiagonalGroupElement(rng.uniform(0.2, 5.0), rng.uniform(0.2, 5.0))
-        out = limit_cycle_action(g, p)
+        out = act(rng.uniform(0.2, 5.0), rng.uniform(0.2, 5.0), p)
         assert out @ out == pytest.approx(1.0, abs=1e-12)
 
 
@@ -62,15 +61,18 @@ def test_action_equals_flow_composition():
     for _ in range(30):
         a, b = rng.uniform(0.5, 2.0, 2)
         p = rng.uniform(-0.7, 0.7, 2)
-        direct = limit_cycle_action(DiagonalGroupElement(a, b), p)
-        composed = rotation_flow(math.log(a), radial_flow(math.log(b), p))
-        assert np.linalg.norm(direct - composed) <= 1e-12
+        # closed form: rotate clockwise by ln a, scale by 1/sqrt(r^2 - (r^2-1) b^2)
+        c, s = math.cos(math.log(a)), math.sin(math.log(a))
+        r2 = p @ p
+        closed = np.array([c * p[0] + s * p[1], -s * p[0] + c * p[1]])
+        closed /= math.sqrt(r2 - (r2 - 1.0) * b * b)
+        assert np.linalg.norm(act(a, b, p) - closed) <= 1e-12
 
 
 def test_action_domain_error_outside():
     # r^2 = 4, b^2 = 2 makes the radicand 4 - 3*2 < 0
     with pytest.raises(ActionDomainError):
-        limit_cycle_action(DiagonalGroupElement(1.0, math.sqrt(2.0)), np.array([2.0, 0.0]))
+        act(1.0, math.sqrt(2.0), np.array([2.0, 0.0]))
 
 
 # --- the lifted system ----------------------------------------------------
@@ -165,13 +167,7 @@ def test_rho_round_trip():
 
 
 def integrate_riccati(x_init, t0, t1, n):
-    b1 = lambda t: 1.0
-    b2 = lambda t: t
-    b12 = math.sin
-
-    def rhs(t, x):
-        return np.array([b1(t) + b2(t) * x[0] + b12(t) * x[0] ** 2])
-
+    rhs = riccati_rhs(lambda t: 1.0, lambda t: t, math.sin)
     h = (t1 - t0) / n
     x = np.array([x_init])
     track = [x_init]

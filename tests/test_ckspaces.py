@@ -8,12 +8,10 @@ from liesolve.benchmarks import ck_benchmark_coefficients
 from liesolve.ckspaces import (
     CKParams,
     CoordinateChartError,
-    ck_action,
     ck_bilinear_form,
     ck_cos,
     ck_exp_closed,
     ck_extract_coords,
-    ck_flow,
     ck_generators,
     ck_invariant,
     ck_lie_system,
@@ -26,6 +24,10 @@ from liesolve.matrixcore import mat_exp
 
 KAPPAS = (-1.0, -0.5, 0.0, 0.4, 0.8, 1.0)
 CK_GRID = (CKParams(1.0, 1.0), CKParams(0.8, -0.5), CKParams(0.0, 1.0), CKParams(-1.0, 0.0))
+
+
+def action_for(ck, mode="linear"):
+    return ck_lie_system(ck, ck_benchmark_coefficients(), mode).action
 
 
 def test_parabolic_values():
@@ -117,20 +119,22 @@ def test_exp_closed_matches_numerical_exponential():
 def test_flow_matches_matrix_action_and_invariant():
     rng = np.random.default_rng(15)
     ck = CKParams(0.8, -0.5)
+    flows = action_for(ck, "flow-composition").flows
     for _ in range(30):
         a = int(rng.integers(0, 3))
         lam = rng.uniform(-2, 2)
         x = rng.uniform(-1, 1, 3)
-        flowed = ck_flow(ck, a, lam, x)
+        flowed = flows[a](lam, x)
         assert np.linalg.norm(flowed - ck_exp_closed(ck, a, lam) @ x) <= 1e-12
         assert ck_invariant(ck, flowed) == pytest.approx(ck_invariant(ck, x), abs=1e-12)
 
 
 def test_flow_identity_at_zero():
     ck = CKParams(0.8, -0.5)
+    flows = action_for(ck, "flow-composition").flows
     x = np.array([0.2, -0.4, 1.1])
     for a in range(3):
-        assert np.allclose(ck_flow(ck, a, 0.0, x), x)
+        assert np.allclose(flows[a](0.0, x), x)
 
 
 def test_extract_identity():
@@ -169,6 +173,8 @@ def test_extract_rejects_far_elements():
 def test_action_modes_agree_near_identity():
     rng = np.random.default_rng(17)
     ck = CKParams(0.8, -0.5)
+    linear = action_for(ck, "linear")
+    composed = action_for(ck, "flow-composition")
     for _ in range(30):
         lams = rng.uniform(-0.2, 0.2, 3)
         g = (
@@ -177,8 +183,8 @@ def test_action_modes_agree_near_identity():
             @ ck_exp_closed(ck, 2, lams[2])
         )
         x = rng.uniform(-1, 1, 3)
-        lin = ck_action(ck, g, x, mode="linear")
-        comp = ck_action(ck, g, x, mode="flow-composition")
+        lin = linear.act(g, x)
+        comp = composed.act(g, x)
         assert np.linalg.norm(lin - comp) <= 1e-10
 
 
@@ -186,6 +192,7 @@ def test_action_preserves_invariant_and_form():
     rng = np.random.default_rng(18)
     ck = CKParams(0.8, -0.5)
     ik = ck_bilinear_form(ck)
+    action = action_for(ck)
     for _ in range(20):
         lams = rng.uniform(-1, 1, 3)
         g = (
@@ -195,7 +202,7 @@ def test_action_preserves_invariant_and_form():
         )
         assert np.abs(g.T @ ik @ g - ik).max() <= 1e-10
         x = rng.uniform(-1, 1, 3)
-        moved = ck_action(ck, g, x)
+        moved = action.act(g, x)
         assert ck_invariant(ck, moved) == pytest.approx(ck_invariant(ck, x), abs=1e-10)
 
 

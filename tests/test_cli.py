@@ -78,6 +78,25 @@ def test_limit_cycle_partial_on_domain_error(tmp_path, capsys):
     assert "partial" in capsys.readouterr().err
 
 
+def test_limit_cycle_rk4_partial_on_blowup(tmp_path):
+    out = tmp_path / "lc.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["limit-cycle", "--x0", "2,0", "--method", "rk4", "--h", "0.01",
+                     "--out", str(out)])
+    assert code == 0
+    assert len((tmp_path / "lc_rk4_h0.01.csv").read_text().splitlines()) == 17
+
+
+def test_limit_cycle_partial_past_group_overflow(tmp_path):
+    # the group overflows at t = 6.6; the action fails at step 1 before that
+    out = tmp_path / "lc.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["limit-cycle", "--x0", "2,0", "--t1", "7", "--out", str(out)])
+    assert code == 0
+    for name, lines in (("rkmk_h0.1", 3), ("rk4_h0.02", 10), ("rk4_h0.01", 17)):
+        assert len((tmp_path / f"lc_{name}.csv").read_text().splitlines()) == lines
+
+
 def test_convergence_slopes(tmp_path, capsys):
     out = tmp_path / "conv.csv"
     code = main(

@@ -10,6 +10,7 @@ from liesolve.integrators import (
     MAGNUS_CONVERGENCE_RADIUS,
     RK4_TABLE,
     ButcherTable,
+    NonFiniteStateError,
     StepperConfig,
     integrate_group,
     magnus2_increment,
@@ -158,9 +159,26 @@ def test_integrate_group_reconstruction_invariant():
     basis = ck_generators(ck)
     coeffs = ck_benchmark_coefficients()
     traj = integrate_group(basis, coeffs, StepperConfig("rkmk"), 3.0, 4.0, 10)
+    assert len(traj.exps) == len(traj.increments) == 10
     for k, w in enumerate(traj.increments):
+        assert np.array_equal(traj.exps[k], mat_exp(w))
         rebuilt = mat_exp(w) @ traj.elements[k]
         assert np.linalg.norm(rebuilt - traj.elements[k + 1]) <= 1e-12
+
+
+def test_integrate_group_reports_overflow_step():
+    basis, coeffs = constant_basis_coeffs(np.array([[1.0]]), value=100.0)
+    # Y_{k+1} = e^{100 (k+1)} overflows first at k = 7
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteStateError) as excinfo:
+            integrate_group(basis, coeffs, StepperConfig("magnus2"), 0.0, 10.0, 10)
+    err = excinfo.value
+    assert err.step == 7
+    assert "t=7" in str(err)
+    group = err.partial
+    assert len(group.times) == len(group.elements) == 8
+    assert len(group.increments) == len(group.exps) == 7
+    assert np.all(np.isfinite(group.elements[-1]))
 
 
 def test_integrate_group_matches_fine_reference():

@@ -10,6 +10,7 @@ from liesolve.integrators import StepperConfig
 from liesolve.liesystem import (
     ActionDomainError,
     GroupAction,
+    NonFiniteStateError,
     Trajectory,
     estimate_order,
     global_error,
@@ -73,7 +74,49 @@ def test_solve_reports_domain_error_step():
     err = excinfo.value
     assert err.step is not None
     assert err.partial is not None
-    assert len(err.partial.times) == err.step + 1
+    assert len(err.partial.times) == len(err.partial.points) == err.step + 1
+    group = err.partial.group
+    assert len(group.elements) == err.step + 1
+    assert len(group.increments) == len(group.exps) == err.step
+
+
+def test_solve_transports_up_to_group_overflow():
+    # Y's second entry is exp(e^t - 1), which overflows at t = 6.6 (step 65)
+    system = limit_cycle_system(lambda t: 1.0 + t * t, math.exp)
+    config = StepperConfig("rkmk")
+    with np.errstate(over="ignore", invalid="ignore"):
+        # an escaping start still stops at its earlier action failure
+        with pytest.raises(ActionDomainError) as excinfo:
+            solve(system, [2.0, 0.0], 0.0, 7.0, 70, config)
+        assert excinfo.value.step == 1
+        assert len(excinfo.value.partial.group.elements) == 2
+        # a start inside the circle is transported until the group blows up
+        with pytest.raises(NonFiniteStateError) as excinfo:
+            solve(system, [0.5, 0.0], 0.0, 7.0, 70, config)
+    err = excinfo.value
+    assert err.step == 65
+    assert len(err.partial.times) == len(err.partial.points) == 66
+    assert np.all(np.isfinite(err.partial.points))
+    group = err.partial.group
+    assert len(group.elements) == 66
+    assert len(group.increments) == len(group.exps) == 65
+
+
+def test_rk4_reports_blowup_step():
+    system = limit_cycle_system(lambda t: 1.0 + t * t, math.exp)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError) as excinfo:
+            solve_direct_rk4(system, [2.0, 0.0], 0.0, 2.0, 200)  # h = 0.01
+    err = excinfo.value
+    assert err.step == 15
+    assert len(err.partial.times) == len(err.partial.points) == 16
+    assert "t=0.15" in str(err)
+
+
+def test_rk4_needs_at_least_one_step():
+    _, system = ck_setup()
+    with pytest.raises(ValueError, match="need at least one step"):
+        solve_direct_rk4(system, [1.0, 1.0, 1.0], 0.0, 1.0, 0)
 
 
 def test_action_identity_and_composition_laws():

@@ -9,17 +9,7 @@ from liesolve.matrixcore import (
     commutator,
     frobenius_norm,
     mat_exp,
-    square_matrix,
 )
-
-
-def test_square_matrix_validates():
-    m = square_matrix([[1.0, 2.0], [3.0, 4.0]])
-    assert not m.flags.writeable
-    with pytest.raises(ValueError):
-        square_matrix([[1.0, 2.0, 3.0]])
-    with pytest.raises(ValueError):
-        square_matrix([[1.0, np.nan], [0.0, 1.0]])
 
 
 def test_commutator_of_matrix_with_itself_vanishes():
