@@ -2,9 +2,9 @@
 Bernoulli numbers, and the truncated dexp-inverse series."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -27,6 +27,9 @@ _BERNOULLI = (
 )
 
 MAX_DEXPINV_ORDER = len(_BERNOULLI) - 1
+
+# The dexp-inverse series coefficients B_i / i!, as floats.
+_DEXPINV_COEFFS = tuple(float(b / math.factorial(i)) for i, b in enumerate(_BERNOULLI))
 
 STRUCTURE_TOL = 1e-10
 
@@ -149,22 +152,16 @@ def assemble_A(basis: AlgebraBasis, coeffs: CoefficientSet, t: float) -> np.ndar
     return _combine(coeffs.values(t), basis.generators, basis.n)
 
 
-def assemble_A_derivatives(
-    basis: AlgebraBasis,
-    coeffs: CoefficientSet,
-    t: float,
-    fd_step: Optional[float] = None,
-):
+def assemble_A_derivatives(basis: AlgebraBasis, coeffs: CoefficientSet, t: float):
     """(dA/dt, d2A/dt2) at t, analytic where derivatives were supplied and
-    central differences otherwise."""
+    central differences (step default_fd_step(t)) otherwise."""
     if coeffs.r != basis.r:
         raise ValueError(f"coefficient arity {coeffs.r} != basis rank {basis.r}")
-    step = default_fd_step(t) if fd_step is None else fd_step
 
     need_fd = coeffs.d1 is None or coeffs.d2 is None
     if need_fd:
         fd1, fd2 = central_second_derivatives(
-            lambda s: assemble_A(basis, coeffs, s), t, step
+            lambda s: assemble_A(basis, coeffs, s), t, default_fd_step(t)
         )
 
     analytic = lambda fs: _combine((f(t) for f in fs), basis.generators, basis.n)
@@ -193,7 +190,6 @@ def dexpinv(omega: np.ndarray, h: np.ndarray, order: int) -> np.ndarray:
     ad = h
     for i in range(1, order + 1):
         ad = commutator(omega, ad)
-        coef = _BERNOULLI[i] / math.factorial(i)
-        if coef != 0:
-            acc = acc + float(coef) * ad
+        if _DEXPINV_COEFFS[i] != 0:
+            acc = acc + _DEXPINV_COEFFS[i] * ad
     return acc

@@ -65,9 +65,7 @@ def limit_cycle_system(b1, b2) -> LieSystemSpec:
         (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), np.zeros((2, 2, 2))
     )
     coeffs = CoefficientSet(funcs=(b1, b2))
-    action = GroupAction.flow_composition(
-        flows=(rotation_flow, radial_flow), extract=_limit_cycle_extract
-    )
+    action = GroupAction((rotation_flow, radial_flow), _limit_cycle_extract)
 
     def rhs(t, p):
         x, y = np.asarray(p, dtype=float)

@@ -190,12 +190,10 @@ def ck_lie_system(
     flow-composition action agrees with the linear one on the chart."""
     basis = ck_generators(ck)
     if action_mode == "linear":
-        action = GroupAction.linear()
+        action = GroupAction()
     elif action_mode == "flow-composition":
         flows = tuple(lambda lam, x, a=a: ck_exp_closed(ck, a, lam) @ x for a in range(3))
-        action = GroupAction.flow_composition(
-            flows=flows, extract=lambda g: ck_extract_coords(ck, g)
-        )
+        action = GroupAction(flows, lambda g: ck_extract_coords(ck, g))
     else:
         raise ValueError(f"unknown action mode {action_mode!r}")
     return LieSystemSpec(

@@ -87,8 +87,6 @@ def run_ck(args) -> int:
     if ref_n % n:
         raise SystemExit("error: --ref-steps must be a multiple of the step count")
 
-    if args.method == "rk4":
-        raise SystemExit("error: ck expects a geometric --method; rk4 runs as baseline anyway")
     config = StepperConfig(method=args.method)
     geo = solve(system, x0, args.t0, args.t1, n, config)
     ref = solve(system, x0, args.t0, args.t1, ref_n, StepperConfig(method="magnus4"))
@@ -220,8 +218,9 @@ def run_riccati_check(args) -> int:
     return 0 if ok else 1
 
 
-def _add_common(p, *, t0, t1, x0, dim_hint):
-    p.add_argument("--method", choices=GEOMETRIC_METHODS + ("rk4",), default=None)
+def _add_common(p, methods, *, t0, t1, x0, dim_hint):
+    if methods:
+        p.add_argument("--method", choices=methods, default=None)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--h", type=float, default=None, help="step size")
     group.add_argument("--steps", type=int, default=None, help="number of steps")
@@ -229,8 +228,13 @@ def _add_common(p, *, t0, t1, x0, dim_hint):
     p.add_argument("--t1", type=float, default=t1)
     p.add_argument("--x0", default=x0, help=f"initial point, {dim_hint} comma-separated values")
     p.add_argument("--out", default=None, help="output CSV path")
+
+
+def _add_ck_options(p):
     p.add_argument("--ref-steps", type=int, default=None,
                    help="steps for the fine reference run")
+    p.add_argument("--kappa1", type=float, default=0.8)
+    p.add_argument("--kappa2", type=float, default=-0.5)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,24 +243,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ck", help="curved-space trajectory and invariant tracks")
-    _add_common(p, t0=3.0, t1=4.0, x0="1,1,1", dim_hint=3)
-    p.add_argument("--kappa1", type=float, default=0.8)
-    p.add_argument("--kappa2", type=float, default=-0.5)
+    _add_common(p, GEOMETRIC_METHODS, t0=3.0, t1=4.0, x0="1,1,1", dim_hint=3)
+    _add_ck_options(p)
     p.set_defaults(func=run_ck, method="rkmk")
 
     p = sub.add_parser("limit-cycle", help="circle retention vs escape")
-    _add_common(p, t0=0.0, t1=2.0, x0="0,1", dim_hint=2)
+    _add_common(p, GEOMETRIC_METHODS + ("rk4",), t0=0.0, t1=2.0, x0="0,1", dim_hint=2)
     p.set_defaults(func=run_limit_cycle)
 
     p = sub.add_parser("convergence", help="error-vs-h sweep with fitted orders")
-    _add_common(p, t0=3.0, t1=4.0, x0="1,1,1", dim_hint=3)
-    p.add_argument("--kappa1", type=float, default=0.8)
-    p.add_argument("--kappa2", type=float, default=-0.5)
+    _add_common(p, GEOMETRIC_METHODS, t0=3.0, t1=4.0, x0="1,1,1", dim_hint=3)
+    _add_ck_options(p)
     p.add_argument("--levels", type=int, default=4, help="number of h halvings")
     p.set_defaults(func=run_convergence)
 
     p = sub.add_parser("riccati-check", help="superposition-rule reconstruction")
-    _add_common(p, t0=0.0, t1=1.0, x0="0,1,-1,0.5", dim_hint=4)
+    _add_common(p, (), t0=0.0, t1=1.0, x0="0,1,-1,0.5", dim_hint=4)
     p.add_argument("--tol", type=float, default=1e-5)
     p.set_defaults(func=run_riccati_check)
 

@@ -1,8 +1,8 @@
 """One-step integrators on the group side: Magnus 2/4 and RKMK increments,
 the group recursion Y_{k+1} = exp(W_k) Y_k, and a plain RK4 baseline."""
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -79,14 +79,6 @@ RK4_TABLE = ButcherTable(
     order=4,
 )
 
-MIDPOINT_TABLE = ButcherTable(
-    a=np.array([[0.0, 0.0], [0.5, 0.0]]),
-    b=np.array([0.0, 1.0]),
-    c=np.array([0.0, 0.5]),
-    order=2,
-)
-
-
 @dataclass(frozen=True)
 class StepperConfig:
     """Method selection for the group-side stepper.
@@ -115,13 +107,12 @@ class StepperConfig:
 
 @dataclass
 class GroupTrajectory:
-    """Times, group elements Y_k, algebra increments W_k and their
-    exponentials E_k = exp(W_k), with Y_{k+1} = E_k Y_k."""
+    """Times, group elements Y_k and algebra increments W_k, with
+    Y_{k+1} = exp(W_k) Y_k."""
 
     times: np.ndarray
     elements: list
     increments: list
-    exps: list
 
 
 def magnus2_increment(
@@ -138,7 +129,6 @@ def magnus4_increment(
     coeffs: CoefficientSet,
     t_k: float,
     h: float,
-    fd_step: Optional[float] = None,
 ) -> np.ndarray:
     """Order 4: with a0 = A(t+h/2), a1 = A'(t+h/2)/12, a2 = A''(t+h/2)/24,
     W_k = h a0 + h^3 (a2 - [a0, a1])."""
@@ -146,7 +136,7 @@ def magnus4_increment(
         raise ValueError("h must be positive")
     t_half = t_k + 0.5 * h
     a0 = assemble_A(basis, coeffs, t_half)
-    d1, d2 = assemble_A_derivatives(basis, coeffs, t_half, fd_step)
+    d1, d2 = assemble_A_derivatives(basis, coeffs, t_half)
     a1 = d1 / 12.0
     a2 = d2 / 24.0
     return h * a0 + h ** 3 * (a2 - commutator(a0, a1))
@@ -196,6 +186,32 @@ def _time_grid(t0: float, t1: float, n_steps: int):
     return h, t0 + h * np.arange(n_steps + 1)
 
 
+def _group_steps(
+    basis: AlgebraBasis, coeffs: CoefficientSet, config: StepperConfig, h: float,
+    group: GroupTrajectory,
+) -> Iterator[np.ndarray]:
+    """Steps group from its one element over its time grid.  Step k stores
+    W_k and Y_{k+1} = E_k Y_k in group, then yields E_k = exp(W_k).
+
+    A Y_{k+1} that is not finite raises NonFiniteStateError with step=k and
+    the group trajectory up to t_k."""
+    increment = make_increment_fn(basis, coeffs, config)
+    y = group.elements[0]
+    for k, t in enumerate(group.times[:-1]):
+        w = increment(t, h)
+        e = mat_exp(w)
+        y = e @ y
+        if not np.all(np.isfinite(y)):
+            raise NonFiniteStateError(
+                f"non-finite group element at step {k} (t={t:g})",
+                step=k,
+                partial=GroupTrajectory(group.times[: k + 1], group.elements, group.increments),
+            )
+        group.elements.append(y)
+        group.increments.append(w)
+        yield e
+
+
 def integrate_group(
     basis: AlgebraBasis,
     coeffs: CoefficientSet,
@@ -211,24 +227,10 @@ def integrate_group(
     the group trajectory up to t_k."""
     h, times = _time_grid(t0, t1, n_steps)
     y = np.eye(basis.n) if y0 is None else np.asarray(y0, dtype=float).copy()
-    increment = make_increment_fn(basis, coeffs, config)
-    elements = [y]
-    increments = []
-    exps = []
-    for k in range(n_steps):
-        w = increment(times[k], h)
-        e = mat_exp(w)
-        y = e @ y
-        if not np.all(np.isfinite(y)):
-            raise NonFiniteStateError(
-                f"non-finite group element at step {k} (t={times[k]:g})",
-                step=k,
-                partial=GroupTrajectory(times[: k + 1], elements, increments, exps),
-            )
-        elements.append(y)
-        increments.append(w)
-        exps.append(e)
-    return GroupTrajectory(times=times, elements=elements, increments=increments, exps=exps)
+    group = GroupTrajectory(times, [y], [])
+    for _ in _group_steps(basis, coeffs, config, h, group):
+        pass
+    return group
 
 
 def magnus_radius_check(

@@ -1,9 +1,9 @@
-"""Lie systems and their geometric solver, in the method's two stages:
-integrate_group solves dY/dt = A(t) Y, then the group action moves the point
-to the manifold step by step.
+"""Lie systems and their geometric solver.  Each step of solve makes the
+group step E_k = exp(W_k), Y_{k+1} = E_k Y_k, then moves the point with the
+group action, x_{k+1} = phi(E_k, x_k); the run ends at the first step that
+fails.
 
-The manifold update is the incremental one, x_{k+1} = phi(E_k, x_k) with
-E_k = exp(W_k).  That is the reading consistent with the cumulative form
+The incremental update is the reading consistent with the cumulative form
 x(t) = phi(Y(t), x0) and with Y_{k+1} = E_k Y_k; both paths are cross-checked
 in the tests.
 """
@@ -18,9 +18,9 @@ from .integrators import (
     GroupTrajectory,
     NonFiniteStateError,
     StepperConfig,
+    _group_steps,
     _StepError,
     _time_grid,
-    integrate_group,
     rk4_direct_step,
 )
 
@@ -33,32 +33,22 @@ class ActionDomainError(_StepError, RuntimeError):
 class GroupAction:
     """Partial map phi: G x N -> N.
 
-    linear variant:           phi(g, x) = g x  (matrix-vector product).
-    flow-composition variant: extract second-kind canonical coordinates
-    (l_1..l_r) of g, then apply phi = F_1(l_1, F_2(l_2, ... F_r(l_r, x))).
+    GroupAction() is the linear action phi(g, x) = g x (matrix-vector
+    product).  GroupAction(flows, extract) is the flow-composition action:
+    extract second-kind canonical coordinates (l_1..l_r) of g, then apply
+    phi = F_1(l_1, F_2(l_2, ... F_r(l_r, x))).
     """
 
-    def __init__(self, variant: str, flows=None, extract=None):
-        if variant not in ("linear", "flow-composition"):
-            raise ValueError(f"unknown action variant {variant!r}")
-        if variant == "flow-composition" and (flows is None or extract is None):
-            raise ValueError("flow-composition action needs flows and an extractor")
-        self.variant = variant
-        self.flows = tuple(flows) if flows is not None else ()
+    def __init__(self, flows=(), extract=None):
+        self.flows = tuple(flows)
+        if bool(self.flows) != (extract is not None):
+            raise ValueError("flow-composition action needs both flows and an extractor")
         self.extract = extract
-
-    @classmethod
-    def linear(cls) -> "GroupAction":
-        return cls("linear")
-
-    @classmethod
-    def flow_composition(cls, flows, extract) -> "GroupAction":
-        return cls("flow-composition", flows=flows, extract=extract)
 
     def act(self, g: np.ndarray, x: np.ndarray) -> np.ndarray:
         g = np.asarray(g, dtype=float)
         x = np.asarray(x, dtype=float)
-        if self.variant == "linear":
+        if not self.flows:
             return g @ x
         lams = self.extract(g)
         if len(lams) != len(self.flows):
@@ -109,46 +99,37 @@ def solve(
     n_steps: int,
     config: StepperConfig,
 ) -> Trajectory:
-    """Geometric solve: integrate_group gives E_k = exp(W_k) and
-    Y_{k+1} = E_k Y_k, then x_{k+1} = phi(E_k, x_k) moves the point.
+    """Geometric solve in one pass: each group step E_k = exp(W_k),
+    Y_{k+1} = E_k Y_k, is followed by x_{k+1} = phi(E_k, x_k).
 
-    A failing step k raises ActionDomainError (outside the action's domain)
-    or NonFiniteStateError with step=k and the trajectory up to t_k.  When
-    Y blows up at step k, the steps before k are still transported, so an
-    earlier action failure is the one reported."""
+    The first failing step k raises ActionDomainError (outside the action's
+    domain) or NonFiniteStateError (Y or x blew up) with step=k and the
+    trajectory up to t_k."""
     x = np.asarray(x0, dtype=float)
     if x.shape != (sys.dim,):
         raise ValueError(f"initial point must have dimension {sys.dim}")
+    h, times = _time_grid(t0, t1, n_steps)
+    group, points = GroupTrajectory(times, [np.eye(sys.basis.n)], []), [x]
     try:
-        group, failure = integrate_group(sys.basis, sys.coeffs, config, t0, t1, n_steps), None
-    except NonFiniteStateError as err:
-        group, failure = err.partial, err
-    times, points = group.times, [x]
-    for k, e in enumerate(group.exps):
-        try:
-            x = sys.action.act(e, x)
-        except ActionDomainError as err:
-            failure = ActionDomainError(
-                f"group action undefined at step {k} (t={times[k]:g}): {err}", step=k
-            )
-            failure.__cause__ = err
-            break
-        if not np.all(np.isfinite(x)):
-            failure = NonFiniteStateError(f"non-finite state at step {k} (t={times[k]:g})", step=k)
-            break
-        points.append(x)
-    if failure is not None:
-        failure.partial = _partial(group, points, failure.step)
-        raise failure
+        for k, e in enumerate(_group_steps(sys.basis, sys.coeffs, config, h, group)):
+            try:
+                x = sys.action.act(e, x)
+            except ActionDomainError as err:
+                raise ActionDomainError(
+                    f"group action undefined at step {k} (t={times[k]:g}): {err}", step=k
+                ) from err
+            if not np.all(np.isfinite(x)):
+                raise NonFiniteStateError(f"non-finite state at step {k} (t={times[k]:g})", step=k)
+            points.append(x)
+    except _StepError as err:
+        # Cut the run's own group in place to k+1 elements and k steps, so
+        # nothing past t_k stays referenced.
+        k = err.step
+        group.times = times[: k + 1]
+        del group.elements[k + 1 :], group.increments[k:]
+        err.partial = Trajectory(times=group.times, points=np.array(points), group=group)
+        raise
     return Trajectory(times=times, points=np.array(points), group=group)
-
-
-def _partial(group: GroupTrajectory, points: list, k: int) -> Trajectory:
-    """The trajectory up to t_k: k+1 points and group elements, k steps.
-    Cuts the run's own group in place, so nothing past t_k stays referenced."""
-    group.times = group.times[: k + 1]
-    del group.elements[k + 1 :], group.increments[k:], group.exps[k:]
-    return Trajectory(times=group.times, points=np.array(points), group=group)
 
 
 def solve_direct_rk4(

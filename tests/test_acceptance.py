@@ -134,16 +134,15 @@ def test_criterion_04_group_solution_stays_in_group():
     )
 
 
-def test_criterion_05_convergence_orders():
+def test_criterion_05_convergence_orders(ck_reference):
     system = bench_system()
-    ref = solve(system, BENCH_X0, 3.0, 4.0, 10000, StepperConfig("magnus4"))
     slopes = {}
     for method in ("magnus2", "magnus4", "rkmk"):
         hs, errs = [], []
         for n in (10, 20, 40, 80):
             traj = solve(system, BENCH_X0, 3.0, 4.0, n, StepperConfig(method))
             hs.append(1.0 / n)
-            errs.append(global_error(traj, ref))
+            errs.append(global_error(traj, ck_reference))
         slopes[method] = estimate_order(hs, errs)
     ok = (
         1.7 <= slopes["magnus2"] <= 2.3

@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 from liesolve.algebra import AlgebraBasis, CoefficientSet
-from liesolve.benchmarks import ck_benchmark_coefficients, limit_cycle_system
+from liesolve.benchmarks import (
+    ck_benchmark_coefficients,
+    limit_cycle_system,
+    radial_flow,
+    rotation_flow,
+)
 from liesolve.ckspaces import CKParams, ck_exp_closed, ck_invariant, ck_lie_system
-from liesolve.integrators import StepperConfig
+from liesolve.integrators import StepperConfig, integrate_group
 from liesolve.liesystem import (
     ActionDomainError,
     GroupAction,
@@ -77,7 +82,35 @@ def test_solve_reports_domain_error_step():
     assert len(err.partial.times) == len(err.partial.points) == err.step + 1
     group = err.partial.group
     assert len(group.elements) == err.step + 1
-    assert len(group.increments) == len(group.exps) == err.step
+    assert len(group.increments) == err.step
+
+
+def test_solve_stops_group_at_first_action_failure():
+    calls = []
+
+    def b1(t):
+        calls.append(t)
+        return 1.0 + t * t
+
+    system = limit_cycle_system(b1, math.exp)
+    with pytest.raises(ActionDomainError) as excinfo:
+        solve(system, [2.0, 0.0], 0.0, 7.0, 70, StepperConfig("rkmk"))
+    assert excinfo.value.step == 1
+    # two group steps of four RK stages each; none past the failing step
+    assert len(calls) == 8
+
+
+@pytest.mark.parametrize("method", ["magnus2", "magnus4", "rkmk"])
+def test_solve_group_equals_integrate_group(method):
+    _, system = ck_setup()
+    config = StepperConfig(method)
+    group = solve(system, [1.0, 1.0, 1.0], 3.0, 4.0, 10, config).group
+    alone = integrate_group(system.basis, system.coeffs, config, 3.0, 4.0, 10)
+    assert np.array_equal(group.times, alone.times)
+    for field in ("elements", "increments"):
+        ours, theirs = getattr(group, field), getattr(alone, field)
+        assert len(ours) == len(theirs)
+        assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
 
 
 def test_solve_transports_up_to_group_overflow():
@@ -99,7 +132,7 @@ def test_solve_transports_up_to_group_overflow():
     assert np.all(np.isfinite(err.partial.points))
     group = err.partial.group
     assert len(group.elements) == 66
-    assert len(group.increments) == len(group.exps) == 65
+    assert len(group.increments) == 65
 
 
 def test_rk4_reports_blowup_step():
@@ -196,21 +229,24 @@ def test_estimate_order_exact_power_laws():
         estimate_order([0.1, 0.2], [1.0, 1.0])
 
 
-def test_estimate_order_on_ck_sweep():
+def test_estimate_order_on_ck_sweep(ck_reference):
     _, system = ck_setup()
     x0 = [1.0, 1.0, 1.0]
-    ref = solve(system, x0, 3.0, 4.0, 10000, StepperConfig("magnus4"))
     hs, errs = [], []
     for n in (10, 20, 40, 80):
         traj = solve(system, x0, 3.0, 4.0, n, StepperConfig("rkmk"))
         hs.append(1.0 / n)
-        errs.append(global_error(traj, ref))
+        errs.append(global_error(traj, ck_reference))
     assert 3.6 <= estimate_order(hs, errs) <= 4.4
     assert all(e1 > e2 for e1, e2 in zip(errs, errs[1:]))
 
 
 def test_group_action_validation():
+    # flows without an extractor of their coordinates, and the reverse
     with pytest.raises(ValueError):
-        GroupAction("nope")
+        GroupAction((rotation_flow, radial_flow))
     with pytest.raises(ValueError):
-        GroupAction.flow_composition(flows=None, extract=None)
+        GroupAction(extract=lambda g: (0.0, 0.0))
+    # no flows: the linear action
+    x = np.array([1.0, 2.0])
+    assert np.array_equal(GroupAction().act(np.diag((2.0, 3.0)), x), [2.0, 6.0])
