@@ -1,5 +1,10 @@
 """Lie-algebra layer: basis with structure constants, A(t) assembly,
-Bernoulli numbers, and the truncated dexp-inverse series."""
+Bernoulli numbers, and the truncated dexp-inverse series.
+
+An algebra element sum_a w_a M_a is held as its coordinate vector w; the
+basis turns w into the n x n matrix (element) and gives the r x r matrix of
+ad_u (ad), so that brackets and dexp-inverse run on r-vectors through the
+structure constants."""
 
 import math
 from dataclasses import dataclass
@@ -81,6 +86,8 @@ class AlgebraBasis:
         v = np.stack([g.ravel() for g in gens])
         if np.linalg.matrix_rank(v, tol=1e-12 * max(1.0, np.abs(v).max())) < r:
             raise ValueError("generators are linearly dependent")
+        object.__setattr__(self, "_flat_generators", v)
+        object.__setattr__(self, "_flat_constants", c.reshape(r, r * r))
 
     @property
     def r(self) -> int:
@@ -89,6 +96,15 @@ class AlgebraBasis:
     @property
     def n(self) -> int:
         return self.generators[0].shape[0]
+
+    def element(self, w: np.ndarray) -> np.ndarray:
+        """The matrix sum_a w_a M_a of the coordinate vector w."""
+        return (w @ self._flat_generators).reshape(self.n, self.n)
+
+    def ad(self, u: np.ndarray) -> np.ndarray:
+        """The r x r matrix of ad_u: the coordinates of [u, v] are v @ ad(u)."""
+        r = self.r
+        return (u @ self._flat_constants).reshape(r, r)
 
     @classmethod
     def from_generators(cls, generators: Sequence[np.ndarray]) -> "AlgebraBasis":
@@ -134,42 +150,52 @@ class CoefficientSet:
             raise ValueError(f"non-finite coefficient value at t={t}")
         return out
 
+    def derivatives(self, t: float):
+        """(b'(t), b''(t)), analytic where derivatives were supplied and
+        central differences of values (step default_fd_step(t)) otherwise."""
+        if self.d1 is None or self.d2 is None:
+            fd1, fd2 = central_second_derivatives(self.values, t, default_fd_step(t))
+        analytic = lambda fs: np.array([f(t) for f in fs], dtype=float)
+        d1 = fd1 if self.d1 is None else analytic(self.d1)
+        d2 = fd2 if self.d2 is None else analytic(self.d2)
+        if not (np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))):
+            raise ValueError(f"non-finite coefficient derivative at t={t}")
+        return d1, d2
 
-def _combine(weights, mats, n: int) -> np.ndarray:
-    """sum_a w_a M_a as an n x n matrix, accumulated from zeros in order.
-    Skipping zero weights leaves the sum bit-identical for finite terms."""
-    out = np.zeros((n, n))
-    for w, m in zip(weights, mats):
-        if w != 0.0:
-            out += w * m
-    return out
+
+def _check_arity(basis: AlgebraBasis, coeffs: CoefficientSet) -> None:
+    if coeffs.r != basis.r:
+        raise ValueError(f"coefficient arity {coeffs.r} != basis rank {basis.r}")
 
 
 def assemble_A(basis: AlgebraBasis, coeffs: CoefficientSet, t: float) -> np.ndarray:
     """A(t) = sum_a b_a(t) M_a."""
-    if coeffs.r != basis.r:
-        raise ValueError(f"coefficient arity {coeffs.r} != basis rank {basis.r}")
-    return _combine(coeffs.values(t), basis.generators, basis.n)
+    _check_arity(basis, coeffs)
+    return basis.element(coeffs.values(t))
 
 
 def assemble_A_derivatives(basis: AlgebraBasis, coeffs: CoefficientSet, t: float):
-    """(dA/dt, d2A/dt2) at t, analytic where derivatives were supplied and
-    central differences (step default_fd_step(t)) otherwise."""
-    if coeffs.r != basis.r:
-        raise ValueError(f"coefficient arity {coeffs.r} != basis rank {basis.r}")
+    """(dA/dt, d2A/dt2) at t, from CoefficientSet.derivatives."""
+    _check_arity(basis, coeffs)
+    d1, d2 = coeffs.derivatives(t)
+    return basis.element(d1), basis.element(d2)
 
-    need_fd = coeffs.d1 is None or coeffs.d2 is None
-    if need_fd:
-        fd1, fd2 = central_second_derivatives(
-            lambda s: assemble_A(basis, coeffs, s), t, default_fd_step(t)
-        )
 
-    analytic = lambda fs: _combine((f(t) for f in fs), basis.generators, basis.n)
-    d1 = fd1 if coeffs.d1 is None else analytic(coeffs.d1)
-    d2 = fd2 if coeffs.d2 is None else analytic(coeffs.d2)
-    if not (np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))):
-        raise ValueError(f"non-finite coefficient derivative at t={t}")
-    return d1, d2
+def _check_order(order: int) -> None:
+    if not 0 <= order <= MAX_DEXPINV_ORDER:
+        raise ValueError(f"truncation order must be in [0, {MAX_DEXPINV_ORDER}], got {order}")
+
+
+def _dexpinv_series(bracket, h: np.ndarray, order: int) -> np.ndarray:
+    """sum_{i=0..order} (B_i / i!) bracket^i (h), where bracket applies
+    ad_omega to matrices or to coordinate vectors alike."""
+    acc = h.copy()
+    ad = h
+    for i in range(1, order + 1):
+        ad = bracket(ad)
+        if _DEXPINV_COEFFS[i] != 0:
+            acc = acc + _DEXPINV_COEFFS[i] * ad
+    return acc
 
 
 def dexpinv(omega: np.ndarray, h: np.ndarray, order: int) -> np.ndarray:
@@ -184,12 +210,5 @@ def dexpinv(omega: np.ndarray, h: np.ndarray, order: int) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     if omega.shape != h.shape:
         raise DimensionMismatchError(f"shape mismatch: {omega.shape} vs {h.shape}")
-    if not 0 <= order <= MAX_DEXPINV_ORDER:
-        raise ValueError(f"truncation order must be in [0, {MAX_DEXPINV_ORDER}], got {order}")
-    acc = h.copy()
-    ad = h
-    for i in range(1, order + 1):
-        ad = commutator(omega, ad)
-        if _DEXPINV_COEFFS[i] != 0:
-            acc = acc + _DEXPINV_COEFFS[i] * ad
-    return acc
+    _check_order(order)
+    return _dexpinv_series(lambda x: commutator(omega, x), h, order)

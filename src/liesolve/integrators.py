@@ -1,5 +1,9 @@
 """One-step integrators on the group side: Magnus 2/4 and RKMK increments,
-the group recursion Y_{k+1} = exp(W_k) Y_k, and a plain RK4 baseline."""
+the group recursion Y_{k+1} = exp(W_k) Y_k, and a plain RK4 baseline.
+
+The increments are computed in algebra coordinates: coefficient vectors,
+brackets through the structure constants (AlgebraBasis.ad) and dexp-inverse
+on r-vectors, with one n x n assembly (AlgebraBasis.element) per step."""
 
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
@@ -7,15 +11,13 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .algebra import (
-    MAX_DEXPINV_ORDER,
     AlgebraBasis,
     CoefficientSet,
-    _combine,
+    _check_order,
+    _dexpinv_series,
     assemble_A,
-    assemble_A_derivatives,
-    dexpinv,
 )
-from .matrixcore import commutator, frobenius_norm, mat_exp
+from .matrixcore import frobenius_norm, mat_exp
 
 # Absolute-convergence bound for the increment series: a step is safe when
 # the integral of ||A|| over it stays below this.
@@ -96,8 +98,7 @@ class StepperConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.method == "rkmk":
             j = self.truncation_order
-            if not 0 <= j <= MAX_DEXPINV_ORDER:
-                raise ValueError(f"truncation order {j} out of range")
+            _check_order(j)
             if j < self.butcher.order - 2:
                 raise ValueError(
                     f"truncation order {j} too low for an order-{self.butcher.order} tableau "
@@ -130,16 +131,16 @@ def magnus4_increment(
     t_k: float,
     h: float,
 ) -> np.ndarray:
-    """Order 4: with a0 = A(t+h/2), a1 = A'(t+h/2)/12, a2 = A''(t+h/2)/24,
-    W_k = h a0 + h^3 (a2 - [a0, a1])."""
+    """Order 4: with b, b', b'' the coefficients and their derivatives at
+    t+h/2, W_k = h b + h^3 (b''/24 - [b, b'/12]), i.e.
+    h A + h^3 (A''/24 - [A, A'/12]) at t+h/2."""
     if h <= 0:
         raise ValueError("h must be positive")
     t_half = t_k + 0.5 * h
-    a0 = assemble_A(basis, coeffs, t_half)
-    d1, d2 = assemble_A_derivatives(basis, coeffs, t_half)
-    a1 = d1 / 12.0
-    a2 = d2 / 24.0
-    return h * a0 + h ** 3 * (a2 - commutator(a0, a1))
+    b = coeffs.values(t_half)
+    d1, d2 = coeffs.derivatives(t_half)
+    w = h * b + h ** 3 * (d2 / 24.0 - (d1 / 12.0) @ basis.ad(b))
+    return basis.element(w)
 
 
 def rkmk_increment(
@@ -151,17 +152,24 @@ def rkmk_increment(
     h: float,
 ) -> np.ndarray:
     """Stagewise T_l = h sum_m a[l,m] F_m, F_l = dexpinv(T_l, A(t_k + c_l h)),
-    then W = h sum_l b_l F_l."""
+    then W = h sum_l b_l F_l.  Runs on coordinate vectors: T_0 = 0 gives
+    F_0 = b(t_k), the coefficients are evaluated once per distinct c_l, and
+    dexpinv(T, v) = sum_i (B_i / i!) v ad(T)^i."""
     if h <= 0:
         raise ValueError("h must be positive")
+    _check_order(truncation_order)
     if truncation_order < butcher.order - 2:
         raise ValueError("truncation order violates j >= p - 2")
-    f = []
-    for l in range(butcher.stages):
-        theta = h * _combine(butcher.a[l, :l], f, basis.n)
-        a_stage = assemble_A(basis, coeffs, t_k + butcher.c[l] * h)
-        f.append(dexpinv(theta, a_stage, truncation_order))
-    return h * _combine(butcher.b, f, basis.n)
+    values = {0.0: coeffs.values(t_k)}
+    f = np.empty((butcher.stages, coeffs.r))
+    f[0] = values[0.0]
+    for l in range(1, butcher.stages):
+        c = butcher.c[l]
+        if c not in values:
+            values[c] = coeffs.values(t_k + c * h)
+        ad = basis.ad(h * (butcher.a[l, :l] @ f[:l]))
+        f[l] = _dexpinv_series(lambda v: v @ ad, values[c], truncation_order)
+    return basis.element(h * (butcher.b @ f))
 
 
 def make_increment_fn(
@@ -193,20 +201,23 @@ def _group_steps(
     """Steps group from its one element over its time grid.  Step k stores
     W_k and Y_{k+1} = E_k Y_k in group, then yields E_k = exp(W_k).
 
-    A Y_{k+1} that is not finite raises NonFiniteStateError with step=k and
-    the group trajectory up to t_k."""
+    An E_k or Y_{k+1} that is not finite raises NonFiniteStateError with
+    step=k and the group trajectory up to t_k."""
     increment = make_increment_fn(basis, coeffs, config)
     y = group.elements[0]
     for k, t in enumerate(group.times[:-1]):
         w = increment(t, h)
-        e = mat_exp(w)
-        y = e @ y
-        if not np.all(np.isfinite(y)):
+        try:
+            e = mat_exp(w)
+            y = e @ y
+            if not np.all(np.isfinite(y)):
+                raise FloatingPointError("Y overflows")
+        except FloatingPointError as err:
             raise NonFiniteStateError(
                 f"non-finite group element at step {k} (t={t:g})",
                 step=k,
                 partial=GroupTrajectory(group.times[: k + 1], group.elements, group.increments),
-            )
+            ) from err
         group.elements.append(y)
         group.increments.append(w)
         yield e

@@ -34,7 +34,9 @@ def mat_exp(a: np.ndarray) -> np.ndarray:
 
     Squaring count s = max(0, ceil(log2(||A||_F)) + 2), Taylor kernel of
     order 18 on the scaled matrix.  Relative error <= 1e-12 in Frobenius
-    norm for ||A||_F <= 10.
+    norm for ||A||_F <= 10.  A result that overflows in the squarings
+    raises FloatingPointError; with s = 0 the Taylor sum is bounded by
+    e^(1/4) and is not checked.
     """
     a = np.asarray(a, dtype=float)
     if not np.all(np.isfinite(a)):
@@ -50,8 +52,12 @@ def mat_exp(a: np.ndarray) -> np.ndarray:
     for k in range(1, TAYLOR_ORDER + 1):
         term = term @ b / k
         acc = acc + term
-    for _ in range(s):
-        acc = acc @ acc
+    if s:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(s):
+                acc = acc @ acc
+        if not np.all(np.isfinite(acc)):
+            raise FloatingPointError(f"matrix exponential overflows (||A||_F = {nrm:g})")
     return acc
 
 

@@ -202,3 +202,41 @@ def test_dexpinv_validation():
 
     with pytest.raises(DimensionMismatchError):
         dexpinv(np.zeros((2, 2)), np.zeros((3, 3)), 2)
+
+
+def test_element_and_ad_match_commutator(coordinate_system):
+    basis, _ = coordinate_system
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        u, v = rng.normal(size=(2, basis.r))
+        mu = sum(x * m for x, m in zip(u, basis.generators))
+        mv = sum(x * m for x, m in zip(v, basis.generators))
+        assert np.abs(basis.element(u) - mu).max() <= 1e-14 * np.abs(mu).max()
+        expected = commutator(mu, mv)
+        got = basis.element(v @ basis.ad(u))
+        assert np.linalg.norm(got - expected) <= 1e-13 * max(np.linalg.norm(expected), 1.0)
+
+
+def test_coefficient_derivatives_analytic_and_finite_difference(coordinate_system):
+    basis, coeffs = coordinate_system
+    t = 0.7
+    d1, d2 = coeffs.derivatives(t)
+    assert np.array_equal(d1, [f(t) for f in coeffs.d1])
+    assert np.array_equal(d2, [f(t) for f in coeffs.d2])
+    fd1, fd2 = CoefficientSet(funcs=coeffs.funcs).derivatives(t)
+    assert np.abs(fd1 - d1).max() <= 1e-8
+    assert np.abs(fd2 - d2).max() <= 1e-6
+    # one analytic derivative missing: the other stays analytic
+    half = CoefficientSet(funcs=coeffs.funcs, d1=coeffs.d1)
+    h1, h2 = half.derivatives(t)
+    assert np.array_equal(h1, d1)
+    assert np.array_equal(h2, fd2)
+    a1, a2 = assemble_A_derivatives(basis, coeffs, t)
+    assert np.array_equal(a1, basis.element(d1))
+    assert np.array_equal(a2, basis.element(d2))
+
+
+def test_coefficient_derivatives_reject_non_finite():
+    coeffs = CoefficientSet(funcs=(math.sin,), d1=(math.cos,), d2=(lambda t: math.inf,))
+    with pytest.raises(ValueError, match="non-finite coefficient derivative"):
+        coeffs.derivatives(0.0)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -181,6 +182,20 @@ def test_integrate_group_reports_overflow_step():
     assert np.all(np.isfinite(group.elements[-1]))
 
 
+def test_integrate_group_reports_exp_overflow_step():
+    basis = diagonal_basis()
+    coeffs = CoefficientSet(funcs=(lambda t: 800.0, lambda t: 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteStateError) as excinfo:
+            integrate_group(basis, coeffs, StepperConfig("magnus2"), 0.0, 1.0, 1)
+    err = excinfo.value
+    assert err.step == 0
+    assert isinstance(err.__cause__, FloatingPointError)
+    assert len(err.partial.times) == len(err.partial.elements) == 1
+    assert err.partial.increments == []
+
+
 def test_integrate_group_matches_fine_reference(ck_reference):
     ck = CKParams(0.8, -0.5)
     basis = ck_generators(ck)
@@ -244,3 +259,58 @@ def test_rk4_direct_step_linear_system_columnwise():
     poly = np.eye(3) + h * a + (h * a) @ (h * a) / 2 + np.linalg.matrix_power(h * a, 3) / 6 \
         + np.linalg.matrix_power(h * a, 4) / 24
     assert np.allclose(full, poly, atol=1e-12)
+
+
+MIDPOINT = ButcherTable(
+    a=np.array([[0.0, 0.0], [0.5, 0.0]]), b=np.array([0.0, 1.0]), c=np.array([0.0, 0.5]), order=2
+)
+
+
+def relative_error(got, expected):
+    return np.linalg.norm(got - expected) / np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "finite-difference"])
+def test_magnus4_matches_matrix_formula(coordinate_system, analytic):
+    from liesolve.algebra import assemble_A, assemble_A_derivatives
+
+    basis, coeffs = coordinate_system
+    if not analytic:
+        coeffs = CoefficientSet(funcs=coeffs.funcs)
+    for t_k, h in ((0.3, 0.1), (3.0, 0.05), (1.0, 0.4)):
+        t_half = t_k + 0.5 * h
+        a = assemble_A(basis, coeffs, t_half)
+        d1, d2 = assemble_A_derivatives(basis, coeffs, t_half)
+        expected = h * a + h ** 3 * (d2 / 24.0 - commutator(a, d1 / 12.0))
+        w = magnus4_increment(basis, coeffs, t_k, h)
+        assert relative_error(w, expected) <= 1e-13
+
+
+def rkmk_matrix_reference(basis, coeffs, table, j, t_k, h):
+    """Stagewise RKMK on n x n matrices: F_l = dexpinv(T_l, A(t_k + c_l h))."""
+    from liesolve.algebra import assemble_A, dexpinv
+
+    f = []
+    for l in range(table.stages):
+        theta = h * sum((table.a[l, m] * f[m] for m in range(l)), np.zeros((basis.n, basis.n)))
+        f.append(dexpinv(theta, assemble_A(basis, coeffs, t_k + table.c[l] * h), j))
+    return h * sum(table.b[l] * f[l] for l in range(table.stages))
+
+
+@pytest.mark.parametrize("table", [RK4_TABLE, MIDPOINT], ids=["rk4", "midpoint"])
+def test_rkmk_matches_matrix_formula(coordinate_system, table):
+    basis, coeffs = coordinate_system
+    for j in range(max(0, table.order - 2), 11):
+        for t_k, h in ((0.3, 0.1), (3.0, 0.05)):
+            expected = rkmk_matrix_reference(basis, coeffs, table, j, t_k, h)
+            w = rkmk_increment(basis, coeffs, table, j, t_k, h)
+            assert relative_error(w, expected) <= 1e-13, (j, t_k, h)
+
+
+def test_rkmk_rejects_truncation_order_out_of_range():
+    basis, coeffs = constant_basis_coeffs(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    one_stage = ButcherTable(a=np.zeros((1, 1)), b=np.array([1.0]), c=np.array([0.0]), order=1)
+    with pytest.raises(ValueError):
+        rkmk_increment(basis, coeffs, one_stage, 11, 0.0, 0.1)
+    with pytest.raises(ValueError):
+        rkmk_increment(basis, coeffs, RK4_TABLE, 1, 0.0, 0.1)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,15 @@ def test_mat_exp_large_norm_accuracy():
         ref = half @ half
         got = mat_exp(a)
         assert np.linalg.norm(got - ref) / np.linalg.norm(ref) <= 1e-12
+
+
+def test_mat_exp_overflow_raises_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="800"):
+            mat_exp(np.diag([800.0, 0.0]))
+        # just below the overflow threshold the result stays finite
+        assert np.isfinite(mat_exp(np.diag([700.0, 0.0]))).all()
 
 
 def test_central_derivatives_constant_and_linear():
