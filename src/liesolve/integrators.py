@@ -108,12 +108,31 @@ class StepperConfig:
 
 @dataclass
 class GroupTrajectory:
-    """Times, group elements Y_k and algebra increments W_k, with
-    Y_{k+1} = exp(W_k) Y_k."""
+    """Times t_k, group elements Y_k and algebra increments W_k, with
+    Y_{k+1} = exp(W_k) Y_k.  Over N steps of an n x n group, elements is an
+    (N+1, n, n) array and increments an (N, n, n) array."""
 
     times: np.ndarray
-    elements: list
-    increments: list
+    elements: np.ndarray
+    increments: np.ndarray
+
+    def _cut(self, k: int) -> None:
+        """Cut in place to t_0..t_k: k+1 elements and k increments, copied out
+        of the full-length buffers so that nothing still holds those.  A no-op
+        when the trajectory has k increments already."""
+        if len(self.increments) > k:
+            self.times = self.times[: k + 1].copy()
+            self.elements = self.elements[: k + 1].copy()
+            self.increments = self.increments[:k].copy()
+
+
+def _new_group(times: np.ndarray, y0: np.ndarray) -> GroupTrajectory:
+    """A group trajectory over times with Y_0 = y0 and its other rows
+    allocated, to be filled by _group_steps."""
+    n_steps = len(times) - 1
+    elements = np.empty((n_steps + 1,) + y0.shape)
+    elements[0] = y0
+    return GroupTrajectory(times, elements, np.empty((n_steps,) + y0.shape))
 
 
 def magnus2_increment(
@@ -198,28 +217,25 @@ def _group_steps(
     basis: AlgebraBasis, coeffs: CoefficientSet, config: StepperConfig, h: float,
     group: GroupTrajectory,
 ) -> Iterator[np.ndarray]:
-    """Steps group from its one element over its time grid.  Step k stores
-    W_k and Y_{k+1} = E_k Y_k in group, then yields E_k = exp(W_k).
+    """Steps group (from _new_group) from Y_0 over its time grid.  Step k
+    writes W_k and Y_{k+1} = E_k Y_k into group, then yields E_k = exp(W_k).
 
     An E_k or Y_{k+1} that is not finite raises NonFiniteStateError with
-    step=k and the group trajectory up to t_k."""
+    step=k and the group, cut to t_0..t_k."""
     increment = make_increment_fn(basis, coeffs, config)
-    y = group.elements[0]
     for k, t in enumerate(group.times[:-1]):
         w = increment(t, h)
         try:
             e = mat_exp(w)
-            y = e @ y
-            if not np.all(np.isfinite(y)):
+            np.matmul(e, group.elements[k], out=group.elements[k + 1])
+            if not np.all(np.isfinite(group.elements[k + 1])):
                 raise FloatingPointError("Y overflows")
         except FloatingPointError as err:
+            group._cut(k)
             raise NonFiniteStateError(
-                f"non-finite group element at step {k} (t={t:g})",
-                step=k,
-                partial=GroupTrajectory(group.times[: k + 1], group.elements, group.increments),
+                f"non-finite group element at step {k} (t={t:g})", step=k, partial=group
             ) from err
-        group.elements.append(y)
-        group.increments.append(w)
+        group.increments[k] = w
         yield e
 
 
@@ -237,8 +253,8 @@ def integrate_group(
     A Y_{k+1} that is not finite raises NonFiniteStateError with step=k and
     the group trajectory up to t_k."""
     h, times = _time_grid(t0, t1, n_steps)
-    y = np.eye(basis.n) if y0 is None else np.asarray(y0, dtype=float).copy()
-    group = GroupTrajectory(times, [y], [])
+    y = np.eye(basis.n) if y0 is None else np.asarray(y0, dtype=float)
+    group = _new_group(times, y)
     for _ in _group_steps(basis, coeffs, config, h, group):
         pass
     return group

@@ -2,14 +2,21 @@
 
 Everything in this package runs on tiny dense real matrices (2x2 and 3x3 in
 practice, n <= 16 tested), so the exponential uses plain scaling-and-squaring
-with a truncated Taylor kernel instead of Pade machinery.
+with a Taylor kernel whose degree follows the norm, instead of Pade
+machinery.
 """
 
+import bisect
 import math
 
 import numpy as np
 
+# Cap on the Taylor degree.  Degree m serves ||B|| up to _DEGREE_BOUNDS[m - 1],
+# the norm at which the tail bound ||B||^(m+1) / (m+1)! reaches 2^-56.
 TAYLOR_ORDER = 18
+_DEGREE_BOUNDS = [
+    (2.0 ** -56 * math.factorial(m + 1)) ** (1.0 / (m + 1)) for m in range(1, TAYLOR_ORDER + 1)
+]
 
 
 class DimensionMismatchError(ValueError):
@@ -32,32 +39,48 @@ def frobenius_norm(a: np.ndarray) -> float:
 def mat_exp(a: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring.
 
-    Squaring count s = max(0, ceil(log2(||A||_F)) + 2), Taylor kernel of
-    order 18 on the scaled matrix.  Relative error <= 1e-12 in Frobenius
-    norm for ||A||_F <= 10.  A result that overflows in the squarings
-    raises FloatingPointError; with s = 0 the Taylor sum is bounded by
-    e^(1/4) and is not checked.
+    A diagonal A (A = 0 included) gives exactly diag(exp(a_ii)).  Otherwise
+    s = max(0, ceil(log2(||A||_F)) + 2) squarings follow a Taylor polynomial
+    in B = A / 2^s, evaluated by Horner at the smallest degree
+    m <= TAYLOR_ORDER whose tail bound ||B||^(m+1) / (m+1)! is <= 2^-56
+    (m = 6 at ||B|| = 6e-3, m = 12 at the largest ||B||, 1/4).  Relative
+    error <= 1e-13 in Frobenius norm for ||A||_F <= 10.
+
+    Overflow raises FloatingPointError naming ||A||_F, without a
+    RuntimeWarning: on the diagonal path when some exp(a_ii) overflows, on
+    the Taylor path when the squarings do (with s = 0 the polynomial is
+    bounded by e^(1/4) and is not checked), and on both when ||A||_F itself
+    overflows although the entries are finite.
     """
     a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatchError(f"need a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     n = a.shape[0]
-    nrm = frobenius_norm(a)
-    if nrm == 0.0:
-        return np.eye(n)
-    s = max(0, math.ceil(math.log2(nrm)) + 2)
-    b = a / (2.0 ** s)
-    term = np.eye(n)
-    acc = np.eye(n)
-    for k in range(1, TAYLOR_ORDER + 1):
-        term = term @ b / k
-        acc = acc + term
-    if s:
+    nrm = math.hypot(*a.ravel().tolist())  # scaled internally: no overflow warning
+    if nrm == math.inf:
+        raise FloatingPointError("matrix exponential overflows (||A||_F overflows)")
+    d = np.diagonal(a)
+    if np.count_nonzero(a) == np.count_nonzero(d):  # diagonal, A = 0 included
+        with np.errstate(over="ignore"):
+            acc = np.diag(np.exp(d))
+    else:
+        s = max(0, math.ceil(math.log2(nrm)) + 2)
+        scale = math.ldexp(1.0, -s)  # 2.0 ** s overflows for s > 1023
+        b = a * scale if s else a
+        m = min(bisect.bisect_left(_DEGREE_BOUNDS, nrm * scale) + 1, TAYLOR_ORDER)
+        eye = np.eye(n)
+        acc = eye + b / m
+        for k in range(m - 1, 0, -1):
+            acc = eye + b @ acc / k
+        if not s:
+            return acc
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(s):
                 acc = acc @ acc
-        if not np.all(np.isfinite(acc)):
-            raise FloatingPointError(f"matrix exponential overflows (||A||_F = {nrm:g})")
+    if not np.all(np.isfinite(acc)):
+        raise FloatingPointError(f"matrix exponential overflows (||A||_F = {nrm:g})")
     return acc
 
 

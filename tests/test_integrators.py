@@ -183,17 +183,23 @@ def test_integrate_group_reports_overflow_step():
 
 
 def test_integrate_group_reports_exp_overflow_step():
-    basis = diagonal_basis()
-    coeffs = CoefficientSet(funcs=(lambda t: 800.0, lambda t: 0.0))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(NonFiniteStateError) as excinfo:
-            integrate_group(basis, coeffs, StepperConfig("magnus2"), 0.0, 1.0, 1)
-    err = excinfo.value
-    assert err.step == 0
-    assert isinstance(err.__cause__, FloatingPointError)
-    assert len(err.partial.times) == len(err.partial.elements) == 1
-    assert err.partial.increments == []
+    # exp(W_0) overflows at W_0 = diag(800, 0), and at ||W_0||_F = 1e200 on
+    # the diagonal and on the Taylor path of mat_exp
+    cases = [
+        (diagonal_basis(), CoefficientSet(funcs=(lambda t: 800.0, lambda t: 0.0))),
+        (diagonal_basis(), CoefficientSet(funcs=(lambda t: 1e200, lambda t: 0.0))),
+        constant_basis_coeffs(np.array([[1.0, 1.0], [0.0, 0.0]]), value=1e200),
+    ]
+    for basis, coeffs in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteStateError) as excinfo:
+                integrate_group(basis, coeffs, StepperConfig("magnus2"), 0.0, 1.0, 1)
+        err = excinfo.value
+        assert err.step == 0
+        assert isinstance(err.__cause__, FloatingPointError)
+        assert len(err.partial.times) == len(err.partial.elements) == 1
+        assert len(err.partial.increments) == 0
 
 
 def test_integrate_group_matches_fine_reference(ck_reference):

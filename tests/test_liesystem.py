@@ -105,13 +105,32 @@ def test_solve_stops_group_at_first_action_failure():
 def test_solve_group_equals_integrate_group(method):
     _, system = ck_setup()
     config = StepperConfig(method)
-    group = solve(system, [1.0, 1.0, 1.0], 3.0, 4.0, 10, config).group
+    traj = solve(system, [1.0, 1.0, 1.0], 3.0, 4.0, 10, config)
+    group = traj.group
+    assert traj.points.shape == (11, 3)
+    assert group.elements.shape == (11, 3, 3)
+    assert group.increments.shape == (10, 3, 3)
     alone = integrate_group(system.basis, system.coeffs, config, 3.0, 4.0, 10)
     assert np.array_equal(group.times, alone.times)
     for field in ("elements", "increments"):
         ours, theirs = getattr(group, field), getattr(alone, field)
         assert len(ours) == len(theirs)
         assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
+
+
+def assert_partial_owns_rows(partial, step):
+    """The partial of a solve that failed at step k holds copies of k+1
+    times, points and elements and of k increments, so that the error keeps
+    no full-length buffer alive."""
+    rows = {
+        "times": (partial.times, step + 1),
+        "points": (partial.points, step + 1),
+        "elements": (partial.group.elements, step + 1),
+        "increments": (partial.group.increments, step),
+    }
+    for name, (array, count) in rows.items():
+        assert len(array) == count, name
+        assert array.base is None, name
 
 
 def test_solve_transports_up_to_group_overflow():
@@ -123,17 +142,14 @@ def test_solve_transports_up_to_group_overflow():
         with pytest.raises(ActionDomainError) as excinfo:
             solve(system, [2.0, 0.0], 0.0, 7.0, 70, config)
         assert excinfo.value.step == 1
-        assert len(excinfo.value.partial.group.elements) == 2
+        assert_partial_owns_rows(excinfo.value.partial, 1)
         # a start inside the circle is transported until the group blows up
         with pytest.raises(NonFiniteStateError) as excinfo:
             solve(system, [0.5, 0.0], 0.0, 7.0, 70, config)
     err = excinfo.value
     assert err.step == 65
-    assert len(err.partial.times) == len(err.partial.points) == 66
     assert np.all(np.isfinite(err.partial.points))
-    group = err.partial.group
-    assert len(group.elements) == 66
-    assert len(group.increments) == 65
+    assert_partial_owns_rows(err.partial, 65)
 
 
 def test_rk4_reports_blowup_step():
@@ -144,6 +160,7 @@ def test_rk4_reports_blowup_step():
     err = excinfo.value
     assert err.step == 15
     assert len(err.partial.times) == len(err.partial.points) == 16
+    assert err.partial.points.base is None
     assert "t=0.15" in str(err)
 
 
@@ -192,6 +209,7 @@ def test_rhs_baseline_trivial_and_drifting():
     ck, system = ck_setup()
     zero = ck_lie_system(ck, CoefficientSet(funcs=(lambda t: 0.0,) * 3))
     traj = solve_direct_rk4(zero, [1.0, 2.0, 3.0], 0.0, 1.0, 5)
+    assert traj.points.shape == (6, 3)
     assert np.allclose(traj.points, [1.0, 2.0, 3.0])
 
     rk4 = solve_direct_rk4(system, [1.0, 1.0, 1.0], 3.0, 4.0, 10)

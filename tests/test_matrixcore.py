@@ -59,9 +59,12 @@ def test_frobenius_norm_values():
 
 
 def test_mat_exp_zero_and_diagonal():
-    assert np.allclose(mat_exp(np.zeros((3, 3))), np.eye(3))
+    assert np.array_equal(mat_exp(np.zeros((3, 3))), np.eye(3))
     d = mat_exp(np.diag([math.log(2.0), math.log(3.0)]))
     assert np.allclose(d, np.diag([2.0, 3.0]), atol=1e-13)
+    # a diagonal input takes the exact path
+    for d in ([math.log(2.0), -3.5], [1e-9, 0.3, -7.0, 12.0]):
+        assert np.array_equal(mat_exp(np.diag(d)), np.diag(np.exp(d)))
 
 
 def test_mat_exp_quarter_turn():
@@ -103,6 +106,39 @@ def test_mat_exp_overflow_raises_without_warning():
             mat_exp(np.diag([800.0, 0.0]))
         # just below the overflow threshold the result stays finite
         assert np.isfinite(mat_exp(np.diag([700.0, 0.0]))).all()
+        # ||A||_F = 1e200: on the diagonal path, and on the Taylor path (667
+        # squarings)
+        with pytest.raises(FloatingPointError, match=r"\|\|A\|\|_F = 1e\+200"):
+            mat_exp(np.diag([1e200, 0.0]))
+        with pytest.raises(FloatingPointError, match=r"\|\|A\|\|_F = 1.41421e\+200"):
+            mat_exp(np.array([[1e200, 1e200], [0.0, 0.0]]))
+        # a Frobenius norm past the float range is itself the overflow
+        with pytest.raises(FloatingPointError, match="overflows"):
+            mat_exp(np.full((2, 2), 1e308))
+
+
+def test_mat_exp_rejects_non_finite_and_non_square():
+    with pytest.raises(ValueError, match="finite"):
+        mat_exp(np.array([[0.0, np.nan], [0.0, 0.0]]))
+    with pytest.raises(DimensionMismatchError):
+        mat_exp(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("norm", [1e-9, 1e-4, 6e-3, 0.05, 0.2, 0.26, 1.0, 3.0, 10.0])
+def test_mat_exp_matches_mpmath(n, norm):
+    # the norms take the Taylor degree from 1 to 12 and lie on both sides
+    # of the s = 0 / 1 boundary at 1/4; mpmath's expm at 40 digits is the
+    # reference
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(round(1000 * n + 1e6 * norm))
+    with mpmath.workdps(40):
+        for _ in range(3):
+            a = rng.normal(size=(n, n))
+            a *= norm / np.linalg.norm(a)
+            ref = np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=float)
+            err = np.linalg.norm(mat_exp(a) - ref) / np.linalg.norm(ref)
+            assert err <= 1e-13
 
 
 def test_central_derivatives_constant_and_linear():
