@@ -4,12 +4,9 @@ from .algebra import (
     AlgebraBasis,
     CoefficientSet,
     assemble_A,
-    assemble_A_derivatives,
-    bernoulli,
     dexpinv,
 )
 from .integrators import (
-    MAGNUS_CONVERGENCE_RADIUS,
     RK4_TABLE,
     ButcherTable,
     GroupTrajectory,
@@ -18,7 +15,6 @@ from .integrators import (
     integrate_group,
     magnus2_increment,
     magnus4_increment,
-    magnus_radius_check,
     rk4_direct_step,
     rkmk_increment,
 )
@@ -33,9 +29,7 @@ from .liesystem import (
     solve_direct_rk4,
 )
 from .matrixcore import (
-    central_second_derivatives,
     commutator,
-    frobenius_norm,
     mat_exp,
 )
 
@@ -47,24 +41,18 @@ __all__ = [
     "GroupAction",
     "GroupTrajectory",
     "LieSystemSpec",
-    "MAGNUS_CONVERGENCE_RADIUS",
     "NonFiniteStateError",
     "RK4_TABLE",
     "StepperConfig",
     "Trajectory",
     "assemble_A",
-    "assemble_A_derivatives",
-    "bernoulli",
-    "central_second_derivatives",
     "commutator",
     "dexpinv",
     "estimate_order",
-    "frobenius_norm",
     "global_error",
     "integrate_group",
     "magnus2_increment",
     "magnus4_increment",
-    "magnus_radius_check",
     "mat_exp",
     "rk4_direct_step",
     "rkmk_increment",

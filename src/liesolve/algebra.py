@@ -1,5 +1,5 @@
-"""Lie-algebra layer: basis with structure constants, A(t) assembly,
-Bernoulli numbers, and the truncated dexp-inverse series.
+"""Lie-algebra layer: basis with structure constants, A(t) assembly and the
+truncated dexp-inverse series.
 
 An algebra element sum_a w_a M_a is held as its coordinate vector w; the
 basis turns w into the n x n matrix (element) and gives the r x r matrix of
@@ -42,13 +42,6 @@ STRUCTURE_TOL = 1e-10
 # truncation vs round-off at double precision for smooth coefficients.
 def default_fd_step(t: float) -> float:
     return max(1e-4, 1e-4 * abs(t))
-
-
-def bernoulli(j: int) -> Fraction:
-    """Bernoulli number B_j (B1 = -1/2 convention), j <= 10."""
-    if not 0 <= j <= MAX_DEXPINV_ORDER:
-        raise ValueError(f"Bernoulli numbers supported for 0 <= j <= {MAX_DEXPINV_ORDER}, got {j}")
-    return _BERNOULLI[j]
 
 
 @dataclass(frozen=True)
@@ -172,13 +165,6 @@ def assemble_A(basis: AlgebraBasis, coeffs: CoefficientSet, t: float) -> np.ndar
     """A(t) = sum_a b_a(t) M_a."""
     _check_arity(basis, coeffs)
     return basis.element(coeffs.values(t))
-
-
-def assemble_A_derivatives(basis: AlgebraBasis, coeffs: CoefficientSet, t: float):
-    """(dA/dt, d2A/dt2) at t, from CoefficientSet.derivatives."""
-    _check_arity(basis, coeffs)
-    d1, d2 = coeffs.derivatives(t)
-    return basis.element(d1), basis.element(d2)
 
 
 def _check_order(order: int) -> None:

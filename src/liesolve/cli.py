@@ -24,7 +24,7 @@ from .benchmarks import (
     riccati_superposition,
 )
 from .ckspaces import CKParams, ck_invariant, ck_lie_system
-from .integrators import StepperConfig
+from .integrators import GEOMETRIC_METHODS, StepperConfig
 from .liesystem import (
     ActionDomainError,
     NonFiniteStateError,
@@ -33,8 +33,6 @@ from .liesystem import (
     solve,
     solve_direct_rk4,
 )
-
-GEOMETRIC_METHODS = ("magnus2", "magnus4", "rkmk")
 
 
 def _fmt(v) -> str:

@@ -17,11 +17,9 @@ from .algebra import (
     _dexpinv_series,
     assemble_A,
 )
-from .matrixcore import frobenius_norm, mat_exp
+from .matrixcore import mat_exp
 
-# Absolute-convergence bound for the increment series: a step is safe when
-# the integral of ||A|| over it stays below this.
-MAGNUS_CONVERGENCE_RADIUS = 1.086868702
+GEOMETRIC_METHODS = ("magnus2", "magnus4", "rkmk")
 
 
 class _StepError(Exception):
@@ -81,6 +79,18 @@ RK4_TABLE = ButcherTable(
     order=4,
 )
 
+
+def _check_rkmk_order(truncation_order: int, butcher: ButcherTable) -> None:
+    """RKMK needs a dexp-inverse truncation j in range with j >= p - 2, p the
+    tableau's order."""
+    _check_order(truncation_order)
+    if truncation_order < butcher.order - 2:
+        raise ValueError(
+            f"truncation order {truncation_order} too low for an order-{butcher.order} "
+            f"tableau (need j >= p - 2)"
+        )
+
+
 @dataclass(frozen=True)
 class StepperConfig:
     """Method selection for the group-side stepper.
@@ -94,16 +104,10 @@ class StepperConfig:
     truncation_order: int = 2
 
     def __post_init__(self):
-        if self.method not in ("magnus2", "magnus4", "rkmk"):
+        if self.method not in GEOMETRIC_METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.method == "rkmk":
-            j = self.truncation_order
-            _check_order(j)
-            if j < self.butcher.order - 2:
-                raise ValueError(
-                    f"truncation order {j} too low for an order-{self.butcher.order} tableau "
-                    f"(need j >= p - 2)"
-                )
+            _check_rkmk_order(self.truncation_order, self.butcher)
 
 
 @dataclass
@@ -176,9 +180,7 @@ def rkmk_increment(
     dexpinv(T, v) = sum_i (B_i / i!) v ad(T)^i."""
     if h <= 0:
         raise ValueError("h must be positive")
-    _check_order(truncation_order)
-    if truncation_order < butcher.order - 2:
-        raise ValueError("truncation order violates j >= p - 2")
+    _check_rkmk_order(truncation_order, butcher)
     values = {0.0: coeffs.values(t_k)}
     f = np.empty((butcher.stages, coeffs.r))
     f[0] = values[0.0]
@@ -239,6 +241,7 @@ def _group_steps(
         yield e
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _group_steps checks Y is finite
 def integrate_group(
     basis: AlgebraBasis,
     coeffs: CoefficientSet,
@@ -258,28 +261,6 @@ def integrate_group(
     for _ in _group_steps(basis, coeffs, config, h, group):
         pass
     return group
-
-
-def magnus_radius_check(
-    basis: AlgebraBasis, coeffs: CoefficientSet, t0: float, t1: float, panels: int = 512
-):
-    """Composite-Simpson estimate of the integral of ||A|| over [t0, t1] and
-    a flag for exceeding the absolute-convergence bound.
-
-    Informational only: the steppers re-center coordinates each step, so
-    what matters in practice is the per-step integral.
-    """
-    if t1 <= t0:
-        raise ValueError("t1 must exceed t0")
-    if panels % 2:
-        panels += 1
-    ts = np.linspace(t0, t1, panels + 1)
-    vals = np.array([frobenius_norm(assemble_A(basis, coeffs, t)) for t in ts])
-    w = np.ones(panels + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    integral = float((t1 - t0) / (3.0 * panels) * (w @ vals))
-    return integral, integral > MAGNUS_CONVERGENCE_RADIUS
 
 
 def rk4_direct_step(f, t: float, h: float, x: np.ndarray) -> np.ndarray:

@@ -92,6 +92,7 @@ class Trajectory:
     group: Optional[GroupTrajectory] = None
 
 
+@np.errstate(over="ignore", invalid="ignore")  # each step checks Y and x are finite
 def solve(
     sys: LieSystemSpec,
     x0: Sequence[float],
@@ -139,6 +140,7 @@ def solve(
     return Trajectory(times=times, points=points, group=group)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # rk4_direct_step checks x is finite
 def solve_direct_rk4(
     sys: LieSystemSpec, x0: Sequence[float], t0: float, t1: float, n_steps: int
 ) -> Trajectory:

@@ -1,4 +1,4 @@
-"""Dense small-matrix arithmetic: products, commutators, exponential, norms.
+"""Dense small-matrix arithmetic: commutators, exponential, finite differences.
 
 Everything in this package runs on tiny dense real matrices (2x2 and 3x3 in
 practice, n <= 16 tested), so the exponential uses plain scaling-and-squaring
@@ -30,10 +30,6 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape != b.shape:
         raise DimensionMismatchError(f"shape mismatch: {a.shape} vs {b.shape}")
     return a @ b - b @ a
-
-
-def frobenius_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(a, dtype=float)))
 
 
 def mat_exp(a: np.ndarray) -> np.ndarray:

@@ -8,8 +8,6 @@ from liesolve.algebra import (
     AlgebraBasis,
     CoefficientSet,
     assemble_A,
-    assemble_A_derivatives,
-    bernoulli,
     dexpinv,
 )
 from liesolve.ckspaces import CKParams, ck_generators
@@ -22,6 +20,12 @@ def single_generator_basis():
 
 
 def test_bernoulli_values():
+    # the series term i of dexpinv is (B_i / i!) ad_omega^i (H); with
+    # omega = diag(4, -4) and H = E_12, ad_omega^i H = 8^i H exactly, and
+    # each term outweighs the partial sum before it, so the difference of
+    # consecutive truncations recovers B_j to rounding
+    omega = np.diag([4.0, -4.0])
+    h = np.array([[0.0, 1.0], [0.0, 0.0]])
     expected = {
         0: Fraction(1),
         1: Fraction(-1, 2),
@@ -35,12 +39,17 @@ def test_bernoulli_values():
         9: 0,
         10: Fraction(5, 66),
     }
-    for j, v in expected.items():
-        assert bernoulli(j) == v
-    with pytest.raises(ValueError):
-        bernoulli(11)
-    with pytest.raises(ValueError):
-        bernoulli(-1)
+    assert np.array_equal(dexpinv(omega, h, 0), h)
+    for j in range(1, 11):
+        term = dexpinv(omega, h, j) - dexpinv(omega, h, j - 1)
+        want = float(expected[j] / math.factorial(j)) * 8.0 ** j * h
+        if j % 2 and j >= 3:
+            assert not term.any()
+        else:
+            assert np.linalg.norm(term - want) <= 1e-15 * np.linalg.norm(want)
+    for j in (11, -1):
+        with pytest.raises(ValueError):
+            dexpinv(omega, h, j)
 
 
 def test_basis_rejects_wrong_constants():
@@ -110,14 +119,14 @@ def test_assemble_A_arity_mismatch():
 def test_assemble_derivatives_constant_and_polynomial():
     basis = single_generator_basis()
     const = CoefficientSet(funcs=(lambda t: 3.0,))
-    d1, d2 = assemble_A_derivatives(basis, const, 1.0)
+    d1, d2 = map(basis.element, const.derivatives(1.0))
     assert np.abs(d1).max() <= 1e-9
     assert np.abs(d2).max() <= 1e-6
 
     quad = CoefficientSet(
         funcs=(lambda t: t * t,), d1=(lambda t: 2.0 * t,), d2=(lambda t: 2.0,)
     )
-    d1, d2 = assemble_A_derivatives(basis, quad, 3.0)
+    d1, d2 = map(basis.element, quad.derivatives(3.0))
     assert np.allclose(d1, 6.0 * basis.generators[0])
     assert np.allclose(d2, 2.0 * basis.generators[0])
 
@@ -125,7 +134,7 @@ def test_assemble_derivatives_constant_and_polynomial():
 def test_assemble_derivatives_finite_difference_matches_analytic():
     basis = single_generator_basis()
     coeffs = CoefficientSet(funcs=(math.sin,))
-    d1, d2 = assemble_A_derivatives(basis, coeffs, 0.0)
+    d1, d2 = map(basis.element, coeffs.derivatives(0.0))
     assert np.abs(d1 - basis.generators[0]).max() <= 1e-6
     assert np.abs(d2).max() <= 1e-6
 
@@ -218,7 +227,7 @@ def test_element_and_ad_match_commutator(coordinate_system):
 
 
 def test_coefficient_derivatives_analytic_and_finite_difference(coordinate_system):
-    basis, coeffs = coordinate_system
+    _, coeffs = coordinate_system
     t = 0.7
     d1, d2 = coeffs.derivatives(t)
     assert np.array_equal(d1, [f(t) for f in coeffs.d1])
@@ -231,9 +240,6 @@ def test_coefficient_derivatives_analytic_and_finite_difference(coordinate_syste
     h1, h2 = half.derivatives(t)
     assert np.array_equal(h1, d1)
     assert np.array_equal(h2, fd2)
-    a1, a2 = assemble_A_derivatives(basis, coeffs, t)
-    assert np.array_equal(a1, basis.element(d1))
-    assert np.array_equal(a2, basis.element(d2))
 
 
 def test_coefficient_derivatives_reject_non_finite():

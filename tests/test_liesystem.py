@@ -137,15 +137,14 @@ def test_solve_transports_up_to_group_overflow():
     # Y's second entry is exp(e^t - 1), which overflows at t = 6.6 (step 65)
     system = limit_cycle_system(lambda t: 1.0 + t * t, math.exp)
     config = StepperConfig("rkmk")
-    with np.errstate(over="ignore", invalid="ignore"):
-        # an escaping start still stops at its earlier action failure
-        with pytest.raises(ActionDomainError) as excinfo:
-            solve(system, [2.0, 0.0], 0.0, 7.0, 70, config)
-        assert excinfo.value.step == 1
-        assert_partial_owns_rows(excinfo.value.partial, 1)
-        # a start inside the circle is transported until the group blows up
-        with pytest.raises(NonFiniteStateError) as excinfo:
-            solve(system, [0.5, 0.0], 0.0, 7.0, 70, config)
+    # an escaping start still stops at its earlier action failure
+    with pytest.raises(ActionDomainError) as excinfo:
+        solve(system, [2.0, 0.0], 0.0, 7.0, 70, config)
+    assert excinfo.value.step == 1
+    assert_partial_owns_rows(excinfo.value.partial, 1)
+    # a start inside the circle is transported until the group blows up
+    with pytest.raises(NonFiniteStateError) as excinfo:
+        solve(system, [0.5, 0.0], 0.0, 7.0, 70, config)
     err = excinfo.value
     assert err.step == 65
     assert np.all(np.isfinite(err.partial.points))
@@ -154,9 +153,8 @@ def test_solve_transports_up_to_group_overflow():
 
 def test_rk4_reports_blowup_step():
     system = limit_cycle_system(lambda t: 1.0 + t * t, math.exp)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(FloatingPointError) as excinfo:
-            solve_direct_rk4(system, [2.0, 0.0], 0.0, 2.0, 200)  # h = 0.01
+    with pytest.raises(FloatingPointError) as excinfo:
+        solve_direct_rk4(system, [2.0, 0.0], 0.0, 2.0, 200)  # h = 0.01
     err = excinfo.value
     assert err.step == 15
     assert len(err.partial.times) == len(err.partial.points) == 16

@@ -8,7 +8,6 @@ from liesolve.matrixcore import (
     DimensionMismatchError,
     central_second_derivatives,
     commutator,
-    frobenius_norm,
     mat_exp,
 )
 
@@ -50,12 +49,6 @@ def test_commutator_bilinear_and_jacobi():
             + commutator(c, commutator(a, b))
         )
         assert np.abs(jac).max() <= 1e-12
-
-
-def test_frobenius_norm_values():
-    assert frobenius_norm(np.zeros((3, 3))) == 0.0
-    assert frobenius_norm(np.eye(3)) == pytest.approx(math.sqrt(3.0), abs=1e-15)
-    assert frobenius_norm(np.array([[3.0, 4.0], [0.0, 0.0]])) == pytest.approx(5.0)
 
 
 def test_mat_exp_zero_and_diagonal():

@@ -1,0 +1,35 @@
+import liesolve
+
+PUBLIC_NAMES = [
+    "ActionDomainError",
+    "AlgebraBasis",
+    "ButcherTable",
+    "CoefficientSet",
+    "GroupAction",
+    "GroupTrajectory",
+    "LieSystemSpec",
+    "NonFiniteStateError",
+    "RK4_TABLE",
+    "StepperConfig",
+    "Trajectory",
+    "assemble_A",
+    "commutator",
+    "dexpinv",
+    "estimate_order",
+    "global_error",
+    "integrate_group",
+    "magnus2_increment",
+    "magnus4_increment",
+    "mat_exp",
+    "rk4_direct_step",
+    "rkmk_increment",
+    "solve",
+    "solve_direct_rk4",
+]
+
+
+def test_public_surface_is_pinned():
+    # a name added to or dropped from the package surface shows up here
+    assert sorted(liesolve.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert getattr(liesolve, name) is not None, name
