@@ -138,10 +138,12 @@ class CoefficientSet:
         return len(self.funcs)
 
     def values(self, t: float) -> np.ndarray:
-        out = np.array([f(t) for f in self.funcs], dtype=float)
-        if not np.all(np.isfinite(out)):
+        # Python floats: a numpy array and its checks cost more than the
+        # arithmetic for a handful of coefficients
+        out = [float(f(t)) for f in self.funcs]
+        if not all(map(math.isfinite, out)):
             raise ValueError(f"non-finite coefficient value at t={t}")
-        return out
+        return np.array(out)
 
     def derivatives(self, t: float):
         """(b'(t), b''(t)), analytic where derivatives were supplied and

@@ -68,9 +68,10 @@ def limit_cycle_system(b1, b2) -> LieSystemSpec:
     action = GroupAction((rotation_flow, radial_flow), _limit_cycle_extract)
 
     def rhs(t, p):
-        x, y = np.asarray(p, dtype=float)
+        x, y = np.asarray(p, dtype=float).tolist()
+        c1, c2 = b1(t), b2(t)
         u = x * x + y * y - 1.0
-        return np.array([b1(t) * y + b2(t) * u * x, -b1(t) * x + b2(t) * u * y])
+        return np.array([c1 * y + c2 * u * x, -c1 * x + c2 * u * y])
 
     return LieSystemSpec(
         basis=basis,

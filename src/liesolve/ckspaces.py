@@ -67,9 +67,10 @@ def ck_tan(kappa: float, lam: float) -> float:
 
 
 def ck_versin(kappa: float, lam: float) -> float:
-    if _is_zero(kappa):
-        return 0.5 * lam * lam
-    return (1.0 - ck_cos(kappa, lam)) / kappa
+    # (1 - C_kappa(lam)) / kappa written as 2 S_kappa(lam/2)^2, which does
+    # not cancel when kappa lam^2 is small
+    s = ck_sin(kappa, 0.5 * lam)
+    return 2.0 * s * s
 
 
 def _inv_tan(kappa: float, t: float) -> float:
@@ -171,14 +172,14 @@ def ck_invariant(ck: CKParams, x) -> float:
 
 def ck_system_rhs(ck: CKParams, coeffs: CoefficientSet, t: float, x) -> np.ndarray:
     """The ambient-coordinate ODE: dx/dt = (b1 M_P1 + b2 M_P2 + b12 M_J12) x."""
-    x = np.asarray(x, dtype=float)
-    b1, b2, b12 = coeffs.values(t)
+    x0, x1, x2 = np.asarray(x, dtype=float).tolist()
+    b1, b2, b12 = coeffs.values(t).tolist()
     k1, k2 = ck.kappa1, ck.kappa2
     return np.array(
         [
-            b1 * k1 * x[1] + b2 * k1 * k2 * x[2],
-            -b1 * x[0] + b12 * k2 * x[2],
-            -b2 * x[0] - b12 * x[1],
+            b1 * k1 * x1 + b2 * k1 * k2 * x2,
+            -b1 * x0 + b12 * k2 * x2,
+            -b2 * x0 - b12 * x1,
         ]
     )
 

@@ -153,13 +153,14 @@ def solve_direct_rk4(
     x = np.asarray(x0, dtype=float)
     points = np.empty((n_steps + 1,) + x.shape)
     points[0] = x
-    for k in range(n_steps):
+    # the rhs gets Python floats: numpy scalars make its arithmetic slower
+    for k, t in enumerate(times[:-1].tolist()):
         try:
-            x = rk4_direct_step(sys.rhs, times[k], h, x)
+            x = rk4_direct_step(sys.rhs, t, h, x)
         except FloatingPointError as err:
             points = points[: k + 1].copy()  # the error's traceback keeps this frame
             raise NonFiniteStateError(
-                f"non-finite RK4 state at step {k} (t={times[k]})",
+                f"non-finite RK4 state at step {k} (t={t})",
                 step=k,
                 partial=Trajectory(times=times[: k + 1].copy(), points=points),
             ) from err

@@ -246,3 +246,16 @@ def test_coefficient_derivatives_reject_non_finite():
     coeffs = CoefficientSet(funcs=(math.sin,), d1=(math.cos,), d2=(lambda t: math.inf,))
     with pytest.raises(ValueError, match="non-finite coefficient derivative"):
         coeffs.derivatives(0.0)
+
+
+def test_coefficient_values_reject_non_finite():
+    for bad in (math.inf, -math.inf, math.nan):
+        coeffs = CoefficientSet(funcs=(math.sin, lambda t, bad=bad: bad))
+        with pytest.raises(ValueError, match=r"non-finite coefficient value at t=0\.25"):
+            coeffs.values(0.25)
+
+
+def test_coefficient_values_are_float64():
+    out = CoefficientSet(funcs=(lambda t: 1, math.cos)).values(0.0)
+    assert out.dtype == np.float64
+    assert out.tolist() == [1.0, 1.0]

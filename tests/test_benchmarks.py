@@ -122,6 +122,24 @@ def test_classical_rk4_escapes_the_circle():
     assert np.abs(r2 - 1.0).max() > 1e-3
 
 
+def test_rhs_evaluates_each_coefficient_once():
+    calls = {"b1": 0, "b2": 0}
+
+    def counted(name, f):
+        def g(t):
+            calls[name] += 1
+            return f(t)
+
+        return g
+
+    system = limit_cycle_system(counted("b1", lambda t: 1.0 + t * t), counted("b2", math.exp))
+    plain = limit_cycle_system(lambda t: 1.0 + t * t, math.exp)
+    for p in ([0.0, 1.0], [0.3, -1.2]):
+        out = system.rhs(0.7, np.array(p))
+        assert np.array_equal(out, plain.rhs(0.7, np.array(p)))
+    assert calls == {"b1": 2, "b2": 2}
+
+
 def test_abelian_increments_have_no_bracket_terms():
     system = default_system()
     w4 = magnus4_increment(system.basis, system.coeffs, 0.3, 0.1)

@@ -43,6 +43,17 @@ def test_circular_and_hyperbolic_values():
     assert ck_versin(1.0, math.pi) == pytest.approx(2.0)
 
 
+def test_versin_small_kappa_keeps_its_digits():
+    # (1 - C_kappa) / kappa cancels here; 2 S_kappa(lam/2)^2 does not
+    for kappa in (1e-30, -1e-30, 1e-20, -1e-20, 1e-12, -1e-12, 1e-8, -1e-8, 1e-5, -1e-5):
+        for lam in (0.5, 1.0, 2.0, 3.0):
+            x = kappa * lam * lam
+            if abs(x) > 1e-4:
+                continue
+            series = 0.5 * lam * lam * (1.0 - x / 12.0 + x * x / 360.0)
+            assert abs(ck_versin(kappa, lam) - series) <= 1e-14 * series
+
+
 def test_tan_blows_up_near_pole():
     # floating point never lands exactly on the pole; the value just explodes
     assert abs(ck_tan(1.0, math.pi / 2)) > 1e15

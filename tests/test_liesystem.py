@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -166,6 +167,23 @@ def test_rk4_needs_at_least_one_step():
     _, system = ck_setup()
     with pytest.raises(ValueError, match="need at least one step"):
         solve_direct_rk4(system, [1.0, 1.0, 1.0], 0.0, 1.0, 0)
+
+
+def test_rk4_rhs_sees_float_stage_times():
+    seen = []
+
+    def rhs(t, x):
+        seen.append(t)
+        return -x
+
+    system = dataclasses.replace(ck_setup()[1], rhs=rhs)
+    traj = solve_direct_rk4(system, [1.0, 1.0, 1.0], 3.0, 4.0, 7)
+    h = 1.0 / 7
+    assert len(seen) == 4 * 7
+    assert all(type(t) is float for t in seen)
+    for k, t_k in enumerate(traj.times[:-1]):
+        stages = seen[4 * k : 4 * k + 4]
+        assert stages == [t_k, t_k + 0.5 * h, t_k + 0.5 * h, t_k + h]
 
 
 def test_action_identity_and_composition_laws():
