@@ -7,8 +7,6 @@ from .algebra import (
     dexpinv,
 )
 from .integrators import (
-    RK4_TABLE,
-    ButcherTable,
     GroupTrajectory,
     NonFiniteStateError,
     StepperConfig,
@@ -36,13 +34,11 @@ from .matrixcore import (
 __all__ = [
     "ActionDomainError",
     "AlgebraBasis",
-    "ButcherTable",
     "CoefficientSet",
     "GroupAction",
     "GroupTrajectory",
     "LieSystemSpec",
     "NonFiniteStateError",
-    "RK4_TABLE",
     "StepperConfig",
     "Trajectory",
     "assemble_A",

@@ -137,12 +137,16 @@ def run_limit_cycle(args) -> int:
     for method, n in pairs:
         h = (args.t1 - args.t0) / n
         traj = _limit_cycle_trajectory(system, x0, args.t0, args.t1, n, method)
+        rows = []
+        for t, (x, y) in zip(traj.times.tolist(), traj.points.tolist()):
+            r2 = x * x + y * y
+            if not math.isfinite(r2):
+                # a blown-up partial run can end on a finite point whose r2 overflows
+                print(f"note: r2 overflows at t={t:g} (dropping that row)", file=sys.stderr)
+                break
+            rows.append([t, x, y, r2])
         path = _sibling(out, f"_{method}_h{h:g}")
-        _write_csv(
-            path,
-            "t;x;y;r2",
-            ([t, p[0], p[1], p[0] ** 2 + p[1] ** 2] for t, p in zip(traj.times, traj.points)),
-        )
+        _write_csv(path, "t;x;y;r2", rows)
         print(f"wrote {path}")
     return 0
 

@@ -1,9 +1,10 @@
 """One-step integrators on the group side: Magnus 2/4 and RKMK increments,
 the group recursion Y_{k+1} = exp(W_k) Y_k, and a plain RK4 baseline.
 
-The increments are computed in algebra coordinates: coefficient vectors,
-brackets through the structure constants (AlgebraBasis.ad) and dexp-inverse
-on r-vectors, with one n x n assembly (AlgebraBasis.element) per step."""
+The increments are computed in algebra coordinates: each returns the
+coefficient vector w of W_k, with brackets through the structure constants
+(AlgebraBasis.ad) and dexp-inverse on r-vectors.  _group_steps is the one
+place where w becomes the group element exp(AlgebraBasis.element(w))."""
 
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
@@ -11,11 +12,11 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .algebra import (
+    MAX_DEXPINV_ORDER,
     AlgebraBasis,
     CoefficientSet,
-    _check_order,
+    _check_arity,
     _dexpinv_series,
-    assemble_A,
 )
 from .matrixcore import mat_exp
 
@@ -37,84 +38,40 @@ class NonFiniteStateError(_StepError, FloatingPointError):
     solution blew up)."""
 
 
-@dataclass(frozen=True)
-class ButcherTable:
-    """Explicit Runge-Kutta tableau (a strictly lower triangular)."""
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    order: int
-
-    def __post_init__(self):
-        for name in ("a", "b", "c"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        a, b, c = self.a, self.b, self.c
-        s = len(b)
-        if a.shape != (s, s) or c.shape != (s,):
-            raise ValueError("tableau dimensions are inconsistent")
-        if abs(b.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1 (consistency)")
-        if c[0] != 0.0:
-            raise ValueError("explicit method needs c[0] = 0")
-        if np.any(np.triu(a) != 0.0):
-            raise ValueError("explicit method needs a strictly lower triangular tableau")
-
-    @property
-    def stages(self) -> int:
-        return len(self.b)
-
-
-RK4_TABLE = ButcherTable(
-    a=np.array(
-        [
-            [0.0, 0.0, 0.0, 0.0],
-            [0.5, 0.0, 0.0, 0.0],
-            [0.0, 0.5, 0.0, 0.0],
-            [0.0, 0.0, 1.0, 0.0],
-        ]
-    ),
-    b=np.array([1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0]),
-    c=np.array([0.0, 0.5, 0.5, 1.0]),
-    order=4,
-)
-
-
-def _check_rkmk_order(truncation_order: int, butcher: ButcherTable) -> None:
-    """RKMK needs a dexp-inverse truncation j in range with j >= p - 2, p the
-    tableau's order."""
-    _check_order(truncation_order)
-    if truncation_order < butcher.order - 2:
+def _check_rkmk_order(truncation_order: int) -> None:
+    """RKMK runs the order-4 RK4 tableau, so its dexp-inverse truncation
+    needs j >= p - 2 = 2, and at most MAX_DEXPINV_ORDER."""
+    if not 2 <= truncation_order <= MAX_DEXPINV_ORDER:
         raise ValueError(
-            f"truncation order {truncation_order} too low for an order-{butcher.order} "
-            f"tableau (need j >= p - 2)"
+            f"RKMK truncation order must be in [2, {MAX_DEXPINV_ORDER}], got {truncation_order}"
         )
 
 
 @dataclass(frozen=True)
 class StepperConfig:
-    """Method selection for the group-side stepper.
+    """Method selection for the group-side stepper: magnus2, magnus4 or rkmk.
 
-    For rkmk, the series truncation must satisfy j >= p - 2, where p is the
-    tableau's order; the step size itself comes from the (t0, t1, N) split.
+    rkmk is RKMK on the classical RK4 tableau with the dexp-inverse series
+    truncated at truncation_order j, 2 <= j <= 10; the step size itself
+    comes from the (t0, t1, N) split.
     """
 
     method: str
-    butcher: ButcherTable = RK4_TABLE
     truncation_order: int = 2
 
     def __post_init__(self):
         if self.method not in GEOMETRIC_METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.method == "rkmk":
-            _check_rkmk_order(self.truncation_order, self.butcher)
+            _check_rkmk_order(self.truncation_order)
 
 
 @dataclass
 class GroupTrajectory:
     """Times t_k, group elements Y_k and algebra increments W_k, with
-    Y_{k+1} = exp(W_k) Y_k.  Over N steps of an n x n group, elements is an
-    (N+1, n, n) array and increments an (N, n, n) array."""
+    Y_{k+1} = exp(W_k) Y_k.  Over N steps of an n x n group with an
+    r-dimensional algebra, elements is an (N+1, n, n) array and increments
+    an (N, r) array of the coordinates of W_k."""
 
     times: np.ndarray
     elements: np.ndarray
@@ -130,67 +87,65 @@ class GroupTrajectory:
             self.increments = self.increments[:k].copy()
 
 
-def _new_group(times: np.ndarray, y0: np.ndarray) -> GroupTrajectory:
-    """A group trajectory over times with Y_0 = y0 and its other rows
+def _new_group(times: np.ndarray, basis: AlgebraBasis) -> GroupTrajectory:
+    """A group trajectory over times with Y_0 = I and its other rows
     allocated, to be filled by _group_steps."""
     n_steps = len(times) - 1
-    elements = np.empty((n_steps + 1,) + y0.shape)
-    elements[0] = y0
-    return GroupTrajectory(times, elements, np.empty((n_steps,) + y0.shape))
+    elements = np.empty((n_steps + 1, basis.n, basis.n))
+    elements[0] = np.eye(basis.n)
+    return GroupTrajectory(times, elements, np.empty((n_steps, basis.r)))
 
 
 def magnus2_increment(
     basis: AlgebraBasis, coeffs: CoefficientSet, t_k: float, h: float
 ) -> np.ndarray:
-    """Order 2: W_k = h A(t_k + h/2)."""
+    """Order 2: W_k = h A(t_k + h/2), i.e. w = h b(t_k + h/2)."""
     if h <= 0:
         raise ValueError("h must be positive")
-    return h * assemble_A(basis, coeffs, t_k + 0.5 * h)
+    return h * coeffs.values(t_k + 0.5 * h)
 
 
 def magnus4_increment(
-    basis: AlgebraBasis,
-    coeffs: CoefficientSet,
-    t_k: float,
-    h: float,
+    basis: AlgebraBasis, coeffs: CoefficientSet, t_k: float, h: float
 ) -> np.ndarray:
     """Order 4: with b, b', b'' the coefficients and their derivatives at
-    t+h/2, W_k = h b + h^3 (b''/24 - [b, b'/12]), i.e.
+    t+h/2, w = h b + h^3 (b''/24 - [b, b'/12]), the coordinates of
     h A + h^3 (A''/24 - [A, A'/12]) at t+h/2."""
     if h <= 0:
         raise ValueError("h must be positive")
     t_half = t_k + 0.5 * h
     b = coeffs.values(t_half)
     d1, d2 = coeffs.derivatives(t_half)
-    w = h * b + h ** 3 * (d2 / 24.0 - (d1 / 12.0) @ basis.ad(b))
-    return basis.element(w)
+    return h * b + h ** 3 * (d2 / 24.0 - (d1 / 12.0) @ basis.ad(b))
+
+
+# Weights of the classical RK4 tableau, whose nodes are c = 0, 1/2, 1/2, 1.
+_RK4_WEIGHTS = np.array([1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0])
 
 
 def rkmk_increment(
-    basis: AlgebraBasis,
-    coeffs: CoefficientSet,
-    butcher: ButcherTable,
-    truncation_order: int,
-    t_k: float,
-    h: float,
+    basis: AlgebraBasis, coeffs: CoefficientSet, truncation_order: int, t_k: float, h: float
 ) -> np.ndarray:
-    """Stagewise T_l = h sum_m a[l,m] F_m, F_l = dexpinv(T_l, A(t_k + c_l h)),
-    then W = h sum_l b_l F_l.  Runs on coordinate vectors: T_0 = 0 gives
-    F_0 = b(t_k), the coefficients are evaluated once per distinct c_l, and
-    dexpinv(T, v) = sum_i (B_i / i!) v ad(T)^i."""
+    """RKMK on the classical RK4 tableau: F_1 = b(t_k), then
+    F_l = dexpinv(T_l, b(t_k + c_l h)) with T_l = h F_1/2, h F_2/2, h F_3
+    at c_l = 1/2, 1/2, 1, and w = h (F_1 + 2 F_2 + 2 F_3 + F_4) / 6.
+
+    Runs on coordinate vectors, with dexpinv(T, v) = sum_i (B_i / i!)
+    v ad(T)^i, and evaluates b once each at t_k, t_k + h/2 and t_k + h."""
     if h <= 0:
         raise ValueError("h must be positive")
-    _check_rkmk_order(truncation_order, butcher)
-    values = {0.0: coeffs.values(t_k)}
-    f = np.empty((butcher.stages, coeffs.r))
-    f[0] = values[0.0]
-    for l in range(1, butcher.stages):
-        c = butcher.c[l]
-        if c not in values:
-            values[c] = coeffs.values(t_k + c * h)
-        ad = basis.ad(h * (butcher.a[l, :l] @ f[:l]))
-        f[l] = _dexpinv_series(lambda v: v @ ad, values[c], truncation_order)
-    return basis.element(h * (butcher.b @ f))
+    _check_rkmk_order(truncation_order)
+
+    def stage(theta: np.ndarray, b: np.ndarray) -> np.ndarray:
+        ad = basis.ad(theta)
+        return _dexpinv_series(lambda v: v @ ad, b, truncation_order)
+
+    f1 = coeffs.values(t_k)
+    b_half = coeffs.values(t_k + 0.5 * h)
+    f2 = stage(h * (0.5 * f1), b_half)
+    f3 = stage(h * (0.5 * f2), b_half)
+    f4 = stage(h * f3, coeffs.values(t_k + h))
+    return h * (_RK4_WEIGHTS @ np.stack((f1, f2, f3, f4)))
 
 
 def make_increment_fn(
@@ -200,18 +155,17 @@ def make_increment_fn(
         return lambda t, h: magnus2_increment(basis, coeffs, t, h)
     if config.method == "magnus4":
         return lambda t, h: magnus4_increment(basis, coeffs, t, h)
-    return lambda t, h: rkmk_increment(
-        basis, coeffs, config.butcher, config.truncation_order, t, h
-    )
+    return lambda t, h: rkmk_increment(basis, coeffs, config.truncation_order, t, h)
 
 
 def _time_grid(t0: float, t1: float, n_steps: int):
-    """(h, times) of a fixed-step run over [t0, t1] in n_steps steps."""
+    """(h, times) of a fixed-step run over [t0, t1] in n_steps steps; h is a
+    Python float whatever the type of t0 and t1."""
     if t1 <= t0:
         raise ValueError("t1 must exceed t0")
     if n_steps < 1:
         raise ValueError("need at least one step")
-    h = (t1 - t0) / n_steps
+    h = float((t1 - t0) / n_steps)
     return h, t0 + h * np.arange(n_steps + 1)
 
 
@@ -220,7 +174,8 @@ def _group_steps(
     group: GroupTrajectory,
 ) -> Iterator[np.ndarray]:
     """Steps group (from _new_group) from Y_0 over its time grid.  Step k
-    writes W_k and Y_{k+1} = E_k Y_k into group, then yields E_k = exp(W_k).
+    writes the coordinates w_k of W_k and Y_{k+1} = E_k Y_k into group, then
+    yields E_k = exp(W_k).
 
     An E_k or Y_{k+1} that is not finite raises NonFiniteStateError with
     step=k and the group, cut to t_0..t_k."""
@@ -228,7 +183,7 @@ def _group_steps(
     for k, t in enumerate(group.times[:-1]):
         w = increment(t, h)
         try:
-            e = mat_exp(w)
+            e = mat_exp(basis.element(w))
             np.matmul(e, group.elements[k], out=group.elements[k + 1])
             if not np.all(np.isfinite(group.elements[k + 1])):
                 raise FloatingPointError("Y overflows")
@@ -249,15 +204,15 @@ def integrate_group(
     t0: float,
     t1: float,
     n_steps: int,
-    y0: Optional[np.ndarray] = None,
 ) -> GroupTrajectory:
-    """Fixed-step solve of dY/dt = A(t) Y via Y_{k+1} = exp(W_k) Y_k.
+    """Fixed-step solve of dY/dt = A(t) Y from Y_0 = I via
+    Y_{k+1} = exp(W_k) Y_k.
 
     A Y_{k+1} that is not finite raises NonFiniteStateError with step=k and
     the group trajectory up to t_k."""
+    _check_arity(basis, coeffs)
     h, times = _time_grid(t0, t1, n_steps)
-    y = np.eye(basis.n) if y0 is None else np.asarray(y0, dtype=float)
-    group = _new_group(times, y)
+    group = _new_group(times, basis)
     for _ in _group_steps(basis, coeffs, config, h, group):
         pass
     return group

@@ -117,7 +117,7 @@ def solve(
     # four 2500-step solves: magnus2, magnus4, rkmk and RK4)
     points = np.empty((n_steps + 1, sys.dim))
     points[0] = x
-    group = _new_group(times, np.eye(sys.basis.n))
+    group = _new_group(times, sys.basis)
     try:
         for k, e in enumerate(_group_steps(sys.basis, sys.coeffs, config, h, group)):
             try:

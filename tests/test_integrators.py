@@ -8,8 +8,6 @@ from liesolve.algebra import AlgebraBasis, CoefficientSet
 from liesolve.benchmarks import ck_benchmark_coefficients
 from liesolve.ckspaces import CKParams, ck_generators
 from liesolve.integrators import (
-    RK4_TABLE,
-    ButcherTable,
     NonFiniteStateError,
     StepperConfig,
     integrate_group,
@@ -33,17 +31,12 @@ def diagonal_basis():
     )
 
 
-def test_butcher_validation():
-    with pytest.raises(ValueError):
-        ButcherTable(a=np.zeros((2, 2)), b=np.array([0.3, 0.3]), c=np.array([0.0, 0.5]), order=2)
-    with pytest.raises(ValueError):
-        ButcherTable(a=np.ones((2, 2)), b=np.array([0.5, 0.5]), c=np.array([0.0, 0.5]), order=2)
-
-
 def test_stepper_config_truncation_rule():
-    with pytest.raises(ValueError):
-        StepperConfig(method="rkmk", truncation_order=1)
+    for j in (1, 11):
+        with pytest.raises(ValueError, match=r"must be in \[2, 10\]"):
+            StepperConfig(method="rkmk", truncation_order=j)
     StepperConfig(method="rkmk", truncation_order=2)
+    StepperConfig(method="rkmk", truncation_order=10)
     with pytest.raises(ValueError):
         StepperConfig(method="bogus")
 
@@ -52,7 +45,8 @@ def test_magnus2_constant_field():
     m = np.array([[0.0, 1.0], [-1.0, 0.0]])
     basis, coeffs = constant_basis_coeffs(m)
     w = magnus2_increment(basis, coeffs, 0.0, 0.1)
-    assert np.allclose(w, 0.1 * m)
+    assert np.allclose(w, [0.1])
+    assert np.allclose(basis.element(w), 0.1 * m)
 
 
 def test_magnus2_midpoint_evaluation():
@@ -62,7 +56,8 @@ def test_magnus2_midpoint_evaluation():
     from liesolve.algebra import assemble_A
 
     w = magnus2_increment(basis, coeffs, 3.0, 0.1)
-    assert np.allclose(w, 0.1 * assemble_A(basis, coeffs, 3.05), atol=1e-15)
+    assert w.shape == (3,)
+    assert np.allclose(basis.element(w), 0.1 * assemble_A(basis, coeffs, 3.05), atol=1e-15)
 
 
 def test_magnus2_small_h_limit():
@@ -74,18 +69,19 @@ def test_magnus2_small_h_limit():
     a_norm = np.linalg.norm(assemble_A(basis, coeffs, 3.0))
     for h in (1e-4, 1e-6):
         w = magnus2_increment(basis, coeffs, 3.0, h)
-        assert np.linalg.norm(w) / h == pytest.approx(a_norm, rel=1e-3)
+        assert np.linalg.norm(basis.element(w)) / h == pytest.approx(a_norm, rel=1e-3)
 
 
 def test_magnus4_constant_and_abelian():
     m = np.array([[0.0, 1.0], [-1.0, 0.0]])
     basis, coeffs = constant_basis_coeffs(m)
-    assert np.allclose(magnus4_increment(basis, coeffs, 0.3, 0.1), 0.1 * m, atol=1e-9)
+    w = magnus4_increment(basis, coeffs, 0.3, 0.1)
+    assert np.allclose(basis.element(w), 0.1 * m, atol=1e-9)
 
     lin = CoefficientSet(funcs=(lambda t: t,), d1=(lambda t: 1.0,), d2=(lambda t: 0.0,))
     basis = AlgebraBasis((m,), np.zeros((1, 1, 1)))
     w = magnus4_increment(basis, lin, 0.2, 0.1)
-    assert np.allclose(w, 0.1 * (0.2 + 0.05) * m, atol=1e-14)
+    assert np.allclose(basis.element(w), 0.1 * (0.2 + 0.05) * m, atol=1e-14)
 
 
 def test_magnus4_analytic_vs_finite_difference():
@@ -95,36 +91,35 @@ def test_magnus4_analytic_vs_finite_difference():
     fd_only = CoefficientSet(funcs=analytic.funcs)
     w_a = magnus4_increment(basis, analytic, 3.0, 0.1)
     w_fd = magnus4_increment(basis, fd_only, 3.0, 0.1)
-    assert np.abs(w_a - w_fd).max() <= 1e-6
+    assert np.abs(basis.element(w_a) - basis.element(w_fd)).max() <= 1e-6
 
 
 def test_rkmk_constant_field_any_table():
     m = np.array([[0.0, 2.0], [-1.0, 0.0]])
     basis, coeffs = constant_basis_coeffs(m)
-    w = rkmk_increment(basis, coeffs, RK4_TABLE, 2, 0.0, 0.1)
-    assert np.allclose(w, 0.1 * m, atol=1e-14)
+    w = rkmk_increment(basis, coeffs, 2, 0.0, 0.1)
+    assert np.allclose(basis.element(w), 0.1 * m, atol=1e-14)
 
 
 def test_rkmk_first_stage_is_field_at_tk():
-    # stage 1 has Theta_1 = 0, so F_1 = A(t_k); with a one-stage table the
-    # increment is exactly h A(t_k)
-    table = ButcherTable(
-        a=np.zeros((1, 1)), b=np.array([1.0]), c=np.array([0.0]), order=1
-    )
+    # stage 1 has Theta_1 = 0, so F_1 = b(t_k); with coefficients that vanish
+    # at t_k + h/2 and t_k + h every later stage is 0, and the increment is
+    # F_1's share h b(t_k) / 6
     ck = CKParams(0.8, -0.5)
     basis = ck_generators(ck)
-    coeffs = ck_benchmark_coefficients()
-    from liesolve.algebra import assemble_A
-
-    w = rkmk_increment(basis, coeffs, table, 2, 3.0, 0.1)
-    assert np.allclose(w, 0.1 * assemble_A(basis, coeffs, 3.0), atol=1e-15)
+    bench = ck_benchmark_coefficients()
+    coeffs = CoefficientSet(funcs=tuple(
+        (lambda t, f=f: f(t) if t == 3.0 else 0.0) for f in bench.funcs
+    ))
+    w = rkmk_increment(basis, coeffs, 2, 3.0, 0.1)
+    assert np.allclose(w, 0.1 / 6.0 * bench.values(3.0), rtol=1e-15, atol=0.0)
 
 
 def test_rkmk_abelian_matches_scalar_rk4_quadrature():
     basis = diagonal_basis()
     coeffs = CoefficientSet(funcs=(lambda t: 1 + t * t, math.exp))
     t_k, h = 0.4, 0.05
-    w = rkmk_increment(basis, coeffs, RK4_TABLE, 2, t_k, h)
+    w = rkmk_increment(basis, coeffs, 2, t_k, h)
     # scalar RK4 on d(omega)/dt = b(t) for each diagonal entry
     for idx, b in enumerate(coeffs.funcs):
         k1 = b(t_k)
@@ -132,18 +127,25 @@ def test_rkmk_abelian_matches_scalar_rk4_quadrature():
         k3 = b(t_k + h / 2)
         k4 = b(t_k + h)
         expected = h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        assert w[idx, idx] == pytest.approx(expected, abs=1e-15)
-    assert np.abs(w - np.diag(np.diag(w))).max() == 0.0
+        assert w[idx] == pytest.approx(expected, abs=1e-15)
 
 
 def test_integrate_group_zero_field():
     m = np.array([[0.0, 1.0], [0.0, 0.0]])
     basis = AlgebraBasis((m,), np.zeros((1, 1, 1)))
     coeffs = CoefficientSet(funcs=(lambda t: 0.0,))
-    y0 = np.array([[2.0, 1.0], [0.0, 1.0]])
-    traj = integrate_group(basis, coeffs, StepperConfig("magnus2"), 0.0, 1.0, 5, y0)
+    traj = integrate_group(basis, coeffs, StepperConfig("magnus2"), 0.0, 1.0, 5)
+    assert traj.increments.shape == (5, 1)
     for y in traj.elements:
-        assert np.allclose(y, y0)
+        assert np.array_equal(y, np.eye(2))
+
+
+@pytest.mark.parametrize("method", ["magnus2", "magnus4", "rkmk"])
+def test_integrate_group_checks_arity(method):
+    basis = ck_generators(CKParams(0.8, -0.5))
+    coeffs = CoefficientSet(funcs=(math.cos, math.sin))
+    with pytest.raises(ValueError, match="coefficient arity 2 != basis rank 3"):
+        integrate_group(basis, coeffs, StepperConfig(method), 0.0, 1.0, 4)
 
 
 def test_integrate_group_constant_field_exact():
@@ -160,7 +162,7 @@ def test_integrate_group_reconstruction_invariant():
     traj = integrate_group(basis, coeffs, StepperConfig("rkmk"), 3.0, 4.0, 10)
     assert len(traj.elements) - 1 == len(traj.increments) == 10
     for k, w in enumerate(traj.increments):
-        rebuilt = mat_exp(w) @ traj.elements[k]
+        rebuilt = mat_exp(basis.element(w)) @ traj.elements[k]
         assert np.array_equal(rebuilt, traj.elements[k + 1])
         assert np.linalg.norm(rebuilt - traj.elements[k + 1]) <= 1e-12
 
@@ -237,11 +239,6 @@ def test_rk4_direct_step_linear_system_columnwise():
     assert np.allclose(full, poly, atol=1e-12)
 
 
-MIDPOINT = ButcherTable(
-    a=np.array([[0.0, 0.0], [0.5, 0.0]]), b=np.array([0.0, 1.0]), c=np.array([0.0, 0.5]), order=2
-)
-
-
 def relative_error(got, expected):
     return np.linalg.norm(got - expected) / np.linalg.norm(expected)
 
@@ -259,34 +256,43 @@ def test_magnus4_matches_matrix_formula(coordinate_system, analytic):
         d1, d2 = map(basis.element, coeffs.derivatives(t_half))
         expected = h * a + h ** 3 * (d2 / 24.0 - commutator(a, d1 / 12.0))
         w = magnus4_increment(basis, coeffs, t_k, h)
-        assert relative_error(w, expected) <= 1e-13
+        assert relative_error(basis.element(w), expected) <= 1e-13
+
+
+# The classical RK4 tableau (a, b, c), the one rkmk_increment runs.
+RK4 = (
+    np.array(
+        [[0.0, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]
+    ),
+    np.array([1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0]),
+    np.array([0.0, 0.5, 0.5, 1.0]),
+)
 
 
 def rkmk_matrix_reference(basis, coeffs, table, j, t_k, h):
     """Stagewise RKMK on n x n matrices: F_l = dexpinv(T_l, A(t_k + c_l h))."""
     from liesolve.algebra import assemble_A, dexpinv
 
+    a, b, c = table
     f = []
-    for l in range(table.stages):
-        theta = h * sum((table.a[l, m] * f[m] for m in range(l)), np.zeros((basis.n, basis.n)))
-        f.append(dexpinv(theta, assemble_A(basis, coeffs, t_k + table.c[l] * h), j))
-    return h * sum(table.b[l] * f[l] for l in range(table.stages))
+    for l in range(len(b)):
+        theta = h * sum((a[l, m] * f[m] for m in range(l)), np.zeros((basis.n, basis.n)))
+        f.append(dexpinv(theta, assemble_A(basis, coeffs, t_k + c[l] * h), j))
+    return h * sum(b[l] * f[l] for l in range(len(b)))
 
 
-@pytest.mark.parametrize("table", [RK4_TABLE, MIDPOINT], ids=["rk4", "midpoint"])
+@pytest.mark.parametrize("table", [RK4], ids=["rk4"])
 def test_rkmk_matches_matrix_formula(coordinate_system, table):
     basis, coeffs = coordinate_system
-    for j in range(max(0, table.order - 2), 11):
+    for j in range(2, 11):
         for t_k, h in ((0.3, 0.1), (3.0, 0.05)):
             expected = rkmk_matrix_reference(basis, coeffs, table, j, t_k, h)
-            w = rkmk_increment(basis, coeffs, table, j, t_k, h)
-            assert relative_error(w, expected) <= 1e-13, (j, t_k, h)
+            w = rkmk_increment(basis, coeffs, j, t_k, h)
+            assert relative_error(basis.element(w), expected) <= 1e-13, (j, t_k, h)
 
 
 def test_rkmk_rejects_truncation_order_out_of_range():
     basis, coeffs = constant_basis_coeffs(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    one_stage = ButcherTable(a=np.zeros((1, 1)), b=np.array([1.0]), c=np.array([0.0]), order=1)
-    with pytest.raises(ValueError):
-        rkmk_increment(basis, coeffs, one_stage, 11, 0.0, 0.1)
-    with pytest.raises(ValueError):
-        rkmk_increment(basis, coeffs, RK4_TABLE, 1, 0.0, 0.1)
+    for j in (1, 11):
+        with pytest.raises(ValueError):
+            rkmk_increment(basis, coeffs, j, 0.0, 0.1)

@@ -3,13 +3,11 @@ import liesolve
 PUBLIC_NAMES = [
     "ActionDomainError",
     "AlgebraBasis",
-    "ButcherTable",
     "CoefficientSet",
     "GroupAction",
     "GroupTrajectory",
     "LieSystemSpec",
     "NonFiniteStateError",
-    "RK4_TABLE",
     "StepperConfig",
     "Trajectory",
     "assemble_A",
