@@ -138,24 +138,27 @@ class CoefficientSet:
         return len(self.funcs)
 
     def values(self, t: float) -> np.ndarray:
-        # Python floats: a numpy array and its checks cost more than the
-        # arithmetic for a handful of coefficients
-        out = [float(f(t)) for f in self.funcs]
-        if not all(map(math.isfinite, out)):
-            raise ValueError(f"non-finite coefficient value at t={t}")
-        return np.array(out)
+        return _evaluate(self.funcs, t, "value")
 
     def derivatives(self, t: float):
         """(b'(t), b''(t)), analytic where derivatives were supplied and
         central differences of values (step default_fd_step(t)) otherwise."""
         if self.d1 is None or self.d2 is None:
             fd1, fd2 = central_second_derivatives(self.values, t, default_fd_step(t))
-        analytic = lambda fs: np.array([f(t) for f in fs], dtype=float)
-        d1 = fd1 if self.d1 is None else analytic(self.d1)
-        d2 = fd2 if self.d2 is None else analytic(self.d2)
-        if not (np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))):
-            raise ValueError(f"non-finite coefficient derivative at t={t}")
+        d1 = fd1 if self.d1 is None else _evaluate(self.d1, t, "derivative")
+        d2 = fd2 if self.d2 is None else _evaluate(self.d2, t, "derivative")
         return d1, d2
+
+
+def _evaluate(funcs: tuple, t: float, what: str) -> np.ndarray:
+    """The float64 array of f(t) over funcs; a non-finite value raises
+    ValueError naming what and t."""
+    # Python floats: a numpy array and its checks cost more than the
+    # arithmetic for a handful of coefficients
+    out = [float(f(t)) for f in funcs]
+    if not all(map(math.isfinite, out)):
+        raise ValueError(f"non-finite coefficient {what} at t={t}")
+    return np.array(out)
 
 
 def _check_arity(basis: AlgebraBasis, coeffs: CoefficientSet) -> None:

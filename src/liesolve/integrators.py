@@ -6,6 +6,7 @@ coefficient vector w of W_k, with brackets through the structure constants
 (AlgebraBasis.ad) and dexp-inverse on r-vectors.  _group_steps is the one
 place where w becomes the group element exp(AlgebraBasis.element(w))."""
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
@@ -160,7 +161,10 @@ def make_increment_fn(
 
 def _time_grid(t0: float, t1: float, n_steps: int):
     """(h, times) of a fixed-step run over [t0, t1] in n_steps steps; h is a
-    Python float whatever the type of t0 and t1."""
+    Python float whatever the type of t0 and t1.  Endpoints that are not
+    finite raise ValueError before any grid is built."""
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"t0 and t1 must be finite, got t0={t0}, t1={t1}")
     if t1 <= t0:
         raise ValueError("t1 must exceed t0")
     if n_steps < 1:
@@ -180,12 +184,14 @@ def _group_steps(
     An E_k or Y_{k+1} that is not finite raises NonFiniteStateError with
     step=k and the group, cut to t_0..t_k."""
     increment = make_increment_fn(basis, coeffs, config)
-    for k, t in enumerate(group.times[:-1]):
+    # the increments and the coefficients get Python floats: numpy scalars
+    # make their arithmetic slower
+    for k, t in enumerate(group.times[:-1].tolist()):
         w = increment(t, h)
         try:
             e = mat_exp(basis.element(w))
             np.matmul(e, group.elements[k], out=group.elements[k + 1])
-            if not np.all(np.isfinite(group.elements[k + 1])):
+            if not np.isfinite(group.elements[k + 1]).all():
                 raise FloatingPointError("Y overflows")
         except FloatingPointError as err:
             group._cut(k)
@@ -227,6 +233,6 @@ def rk4_direct_step(f, t: float, h: float, x: np.ndarray) -> np.ndarray:
     k3 = np.asarray(f(t + 0.5 * h, x + 0.5 * h * k2), dtype=float)
     k4 = np.asarray(f(t + h, x + h * k3), dtype=float)
     out = x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise FloatingPointError(f"non-finite RK4 state at t={t}")
     return out

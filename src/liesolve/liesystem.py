@@ -126,7 +126,7 @@ def solve(
                 raise ActionDomainError(
                     f"group action undefined at step {k} (t={times[k]:g}): {err}", step=k
                 ) from err
-            if not np.all(np.isfinite(x)):
+            if not np.isfinite(x).all():
                 raise NonFiniteStateError(f"non-finite state at step {k} (t={times[k]:g})", step=k)
             points[k + 1] = x
     except _StepError as err:

@@ -46,21 +46,25 @@ def mat_exp(a: np.ndarray) -> np.ndarray:
     RuntimeWarning: on the diagonal path when some exp(a_ii) overflows, on
     the Taylor path when the squarings do (with s = 0 the polynomial is
     bounded by e^(1/4) and is not checked), and on both when ||A||_F itself
-    overflows although the entries are finite.
+    overflows although the entries are finite.  An entry that is not
+    finite raises ValueError.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"need a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
     n = a.shape[0]
-    nrm = math.hypot(*a.ravel().tolist())  # scaled internally: no overflow warning
-    if nrm == math.inf:
+    # the entries as Python floats serve the norm, the finite check and the
+    # diagonal test: a numpy call costs more than this arithmetic at 3 x 3
+    entries = a.ravel().tolist()
+    nrm = math.hypot(*entries)  # scaled internally: no overflow warning
+    if not math.isfinite(nrm):  # a non-finite entry, or finite ones that overflow it
+        if not all(map(math.isfinite, entries)):
+            raise ValueError("matrix entries must be finite")
         raise FloatingPointError("matrix exponential overflows (||A||_F overflows)")
-    d = np.diagonal(a)
-    if np.count_nonzero(a) == np.count_nonzero(d):  # diagonal, A = 0 included
+    # diagonal (A = 0 included) when every off-diagonal entry is 0.0 or -0.0
+    if entries.count(0.0) == entries[:: n + 1].count(0.0) + n * (n - 1):
         with np.errstate(over="ignore"):
-            acc = np.diag(np.exp(d))
+            acc = np.diag(np.exp(np.diagonal(a)))
     else:
         s = max(0, math.ceil(math.log2(nrm)) + 2)
         scale = math.ldexp(1.0, -s)  # 2.0 ** s overflows for s > 1023
@@ -75,7 +79,7 @@ def mat_exp(a: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(s):
                 acc = acc @ acc
-    if not np.all(np.isfinite(acc)):
+    if not np.isfinite(acc).all():
         raise FloatingPointError(f"matrix exponential overflows (||A||_F = {nrm:g})")
     return acc
 
@@ -95,6 +99,6 @@ def central_second_derivatives(f, t: float, step: float):
     fp2 = np.asarray(f(t + 2 * step), dtype=float)
     d1 = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * step)
     d2 = (fp1 - 2.0 * f0 + fm1) / (step * step)
-    if not (np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))):
+    if not (np.isfinite(d1).all() and np.isfinite(d2).all()):
         raise ValueError(f"non-finite derivative estimate at t={t}")
     return d1, d2

@@ -246,6 +246,9 @@ def test_coefficient_derivatives_reject_non_finite():
     coeffs = CoefficientSet(funcs=(math.sin,), d1=(math.cos,), d2=(lambda t: math.inf,))
     with pytest.raises(ValueError, match="non-finite coefficient derivative"):
         coeffs.derivatives(0.0)
+    coeffs = CoefficientSet(funcs=(math.sin,), d1=(lambda t: math.nan,), d2=(math.sin,))
+    with pytest.raises(ValueError, match=r"non-finite coefficient derivative at t=0\.25"):
+        coeffs.derivatives(0.25)
 
 
 def test_coefficient_values_reject_non_finite():
@@ -259,3 +262,8 @@ def test_coefficient_values_are_float64():
     out = CoefficientSet(funcs=(lambda t: 1, math.cos)).values(0.0)
     assert out.dtype == np.float64
     assert out.tolist() == [1.0, 1.0]
+    # int-returning analytic derivatives too
+    ints = CoefficientSet(funcs=(math.sin,), d1=(lambda t: 1,), d2=(lambda t: 0,))
+    d1, d2 = ints.derivatives(0.0)
+    assert d1.dtype == d2.dtype == np.float64
+    assert (d1.tolist(), d2.tolist()) == ([1.0], [0.0])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from liesolve.benchmarks import (
     rotation_flow,
 )
 from liesolve.ckspaces import CKParams, ck_exp_closed, ck_invariant, ck_lie_system
-from liesolve.integrators import StepperConfig, integrate_group
+from liesolve.integrators import GEOMETRIC_METHODS, StepperConfig, integrate_group
 from liesolve.liesystem import (
     ActionDomainError,
     GroupAction,
@@ -168,6 +169,28 @@ def test_rk4_needs_at_least_one_step():
         solve_direct_rk4(system, [1.0, 1.0, 1.0], 0.0, 1.0, 0)
 
 
+def test_solvers_reject_non_finite_endpoints():
+    # rejected before a grid is built: no nan grid, no numpy warning, and the
+    # error names t0 and t1, not a coefficient
+    _, system = ck_setup()
+    x0 = [1.0, 1.0, 1.0]
+    runs = [lambda t0, t1: solve_direct_rk4(system, x0, t0, t1, 3)]
+    runs += [
+        lambda t0, t1, m=m: solve(system, x0, t0, t1, 3, StepperConfig(m))
+        for m in GEOMETRIC_METHODS
+    ]
+    runs.append(
+        lambda t0, t1: integrate_group(system.basis, system.coeffs, StepperConfig("rkmk"), t0, t1, 3)
+    )
+    ends = [(0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0), (0.0, np.float64(math.inf))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in runs:
+            for t0, t1 in ends:
+                with pytest.raises(ValueError, match=r"t0 and t1 must be finite, got t0="):
+                    run(t0, t1)
+
+
 def test_rk4_rhs_sees_float_stage_times():
     # with float and with np.float64 endpoints alike
     for t0, t1 in ((3.0, 4.0), (np.float64(3.0), np.float64(4.0))):
@@ -185,6 +208,37 @@ def test_rk4_rhs_sees_float_stage_times():
         for k, t_k in enumerate(traj.times[:-1]):
             stages = seen[4 * k : 4 * k + 4]
             assert stages == [t_k, t_k + 0.5 * h, t_k + 0.5 * h, t_k + h]
+
+
+def test_geometric_steps_hand_coefficients_floats():
+    # funcs, d1 and d2 see Python floats at every stage time, with float and
+    # with np.float64 endpoints alike
+    base = ck_benchmark_coefficients()
+    for t0, t1 in ((3.0, 4.0), (np.float64(3.0), np.float64(4.0))):
+        seen = {"funcs": [], "d1": [], "d2": []}
+
+        def recorded(name):
+            def wrap(f):
+                return lambda t: seen[name].append(t) or f(t)
+
+            return tuple(map(wrap, getattr(base, name)))
+
+        coeffs = CoefficientSet(recorded("funcs"), recorded("d1"), recorded("d2"))
+        system = ck_lie_system(CKParams(0.8, -0.5), coeffs)
+        for method in GEOMETRIC_METHODS:
+            for times in seen.values():
+                times.clear()
+            traj = solve(system, [1.0, 1.0, 1.0], t0, t1, 7, StepperConfig(method))
+            h = 1.0 / 7
+            t_k = traj.times[:-1].tolist()
+            stages = {t + 0.5 * h for t in t_k}
+            if method == "rkmk":
+                stages |= set(t_k) | {t + h for t in t_k}
+            assert set(seen["funcs"]) == stages, method
+            if method == "magnus4":
+                assert set(seen["d1"]) == set(seen["d2"]) == stages
+            every = seen["funcs"] + seen["d1"] + seen["d2"]
+            assert all(type(t) is float for t in every), (method, type(t0))
 
 
 def test_action_identity_and_composition_laws():

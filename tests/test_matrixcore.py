@@ -58,6 +58,10 @@ def test_mat_exp_zero_and_diagonal():
     # a diagonal input takes the exact path
     for d in ([math.log(2.0), -3.5], [1e-9, 0.3, -7.0, 12.0]):
         assert np.array_equal(mat_exp(np.diag(d)), np.diag(np.exp(d)))
+        # -0.0 off the diagonal counts as zero
+        a = np.diag(d)
+        a[1, 0] = -0.0
+        assert np.array_equal(mat_exp(a), np.diag(np.exp(d)))
 
 
 def test_mat_exp_quarter_turn():
@@ -111,8 +115,13 @@ def test_mat_exp_overflow_raises_without_warning():
 
 
 def test_mat_exp_rejects_non_finite_and_non_square():
-    with pytest.raises(ValueError, match="finite"):
-        mat_exp(np.array([[0.0, np.nan], [0.0, 0.0]]))
+    # ||A||_F is inf when an entry is inf, also beside a nan: still a
+    # ValueError, not an overflow
+    inf, nan = math.inf, math.nan
+    for a in ([[0.0, nan], [0.0, 0.0]], [[inf, 0.0], [0.0, 0.0]], [[inf, nan], [0.0, 0.0]],
+              [[1.0, -inf], [0.0, 0.0]]):
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            mat_exp(np.array(a))
     with pytest.raises(DimensionMismatchError):
         mat_exp(np.zeros((2, 3)))
 
