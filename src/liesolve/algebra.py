@@ -2,9 +2,9 @@
 truncated dexp-inverse series.
 
 An algebra element sum_a w_a M_a is held as its coordinate vector w; the
-basis turns w into the n x n matrix (element) and gives the r x r matrix of
-ad_u (ad), so that brackets and dexp-inverse run on r-vectors through the
-structure constants."""
+basis turns w into the n x n matrix (element) and brackets coordinate
+vectors as Python floats through its nonzero structure constants (bracket),
+so that dexp-inverse runs on r-vectors too."""
 
 import math
 from dataclasses import dataclass
@@ -80,7 +80,9 @@ class AlgebraBasis:
         if np.linalg.matrix_rank(v, tol=1e-12 * max(1.0, np.abs(v).max())) < r:
             raise ValueError("generators are linearly dependent")
         object.__setattr__(self, "_flat_generators", v)
-        object.__setattr__(self, "_flat_constants", c.reshape(r, r * r))
+        # (a, b, g, c[a][b][g]) over the nonzero constants: 6 on CK, 0 if abelian
+        terms = tuple((a, b, g, c[a, b, g].item()) for a, b, g in np.argwhere(c).tolist())
+        object.__setattr__(self, "_bracket_terms", terms)
 
     @property
     def r(self) -> int:
@@ -94,10 +96,12 @@ class AlgebraBasis:
         """The matrix sum_a w_a M_a of the coordinate vector w."""
         return (w @ self._flat_generators).reshape(self.n, self.n)
 
-    def ad(self, u: np.ndarray) -> np.ndarray:
-        """The r x r matrix of ad_u: the coordinates of [u, v] are v @ ad(u)."""
-        r = self.r
-        return (u @ self._flat_constants).reshape(r, r)
+    def bracket(self, u, v) -> list:
+        """The coordinates of [u, v] as a list of Python floats."""
+        out = [0.0] * self.r
+        for a, b, g, c in self._bracket_terms:
+            out[g] += c * u[a] * v[b]
+        return out
 
     @classmethod
     def from_generators(cls, generators: Sequence[np.ndarray]) -> "AlgebraBasis":
@@ -138,27 +142,31 @@ class CoefficientSet:
         return len(self.funcs)
 
     def values(self, t: float) -> np.ndarray:
-        return _evaluate(self.funcs, t, "value")
+        return np.array(_floats(self.funcs, t, "value"))
 
     def derivatives(self, t: float):
         """(b'(t), b''(t)), analytic where derivatives were supplied and
         central differences of values (step default_fd_step(t)) otherwise."""
+        return tuple(map(np.array, self._derivative_floats(t)))
+
+    def _derivative_floats(self, t: float):
+        """derivatives(t) as two lists of Python floats."""
         if self.d1 is None or self.d2 is None:
             fd1, fd2 = central_second_derivatives(self.values, t, default_fd_step(t))
-        d1 = fd1 if self.d1 is None else _evaluate(self.d1, t, "derivative")
-        d2 = fd2 if self.d2 is None else _evaluate(self.d2, t, "derivative")
+        d1 = fd1.tolist() if self.d1 is None else _floats(self.d1, t, "derivative")
+        d2 = fd2.tolist() if self.d2 is None else _floats(self.d2, t, "derivative")
         return d1, d2
 
 
-def _evaluate(funcs: tuple, t: float, what: str) -> np.ndarray:
-    """The float64 array of f(t) over funcs; a non-finite value raises
-    ValueError naming what and t."""
+def _floats(funcs: tuple, t: float, what: str) -> list:
+    """The list of f(t) over funcs as Python floats; a non-finite value
+    raises ValueError naming what and t."""
     # Python floats: a numpy array and its checks cost more than the
     # arithmetic for a handful of coefficients
     out = [float(f(t)) for f in funcs]
     if not all(map(math.isfinite, out)):
         raise ValueError(f"non-finite coefficient {what} at t={t}")
-    return np.array(out)
+    return out
 
 
 def _check_arity(basis: AlgebraBasis, coeffs: CoefficientSet) -> None:
@@ -177,15 +185,15 @@ def _check_order(order: int) -> None:
         raise ValueError(f"truncation order must be in [0, {MAX_DEXPINV_ORDER}], got {order}")
 
 
-def _dexpinv_series(bracket, h: np.ndarray, order: int) -> np.ndarray:
-    """sum_{i=0..order} (B_i / i!) bracket^i (h), where bracket applies
-    ad_omega to matrices or to coordinate vectors alike."""
-    acc = h.copy()
-    ad = h
-    for i in range(1, order + 1):
+def _dexpinv_series(bracket, h: list, order: int) -> list:
+    """sum_{i=0..order} (B_i / i!) bracket^i (h) on a list of Python floats,
+    where bracket applies ad_omega to such a list: coordinate vectors, or
+    the entries of a matrix."""
+    acc = ad = h
+    for coeff in _DEXPINV_COEFFS[1 : order + 1]:
         ad = bracket(ad)
-        if _DEXPINV_COEFFS[i] != 0:
-            acc = acc + _DEXPINV_COEFFS[i] * ad
+        if coeff:
+            acc = [x + coeff * y for x, y in zip(acc, ad)]
     return acc
 
 
@@ -202,4 +210,5 @@ def dexpinv(omega: np.ndarray, h: np.ndarray, order: int) -> np.ndarray:
     if omega.shape != h.shape:
         raise DimensionMismatchError(f"shape mismatch: {omega.shape} vs {h.shape}")
     _check_order(order)
-    return _dexpinv_series(lambda x: commutator(omega, x), h, order)
+    ad_omega = lambda x: commutator(omega, np.reshape(x, h.shape)).ravel().tolist()
+    return np.reshape(_dexpinv_series(ad_omega, h.ravel().tolist(), order), h.shape)

@@ -2,9 +2,10 @@
 the group recursion Y_{k+1} = exp(W_k) Y_k, and a plain RK4 baseline.
 
 The increments are computed in algebra coordinates: each returns the
-coefficient vector w of W_k, with brackets through the structure constants
-(AlgebraBasis.ad) and dexp-inverse on r-vectors.  _group_steps is the one
-place where w becomes the group element exp(AlgebraBasis.element(w))."""
+coefficient vector w of W_k.  Magnus-4 and RKMK run their stages on Python
+float lists, with brackets through the nonzero structure constants
+(AlgebraBasis.bracket) and dexp-inverse on r-vectors.  _group_steps is the
+one place where w becomes the group element exp(AlgebraBasis.element(w))."""
 
 import math
 from dataclasses import dataclass
@@ -18,6 +19,7 @@ from .algebra import (
     CoefficientSet,
     _check_arity,
     _dexpinv_series,
+    _floats,
 )
 from .matrixcore import mat_exp
 
@@ -115,9 +117,10 @@ def magnus4_increment(
     if h <= 0:
         raise ValueError("h must be positive")
     t_half = t_k + 0.5 * h
-    b = coeffs.values(t_half)
-    d1, d2 = coeffs.derivatives(t_half)
-    return h * b + h ** 3 * (d2 / 24.0 - (d1 / 12.0) @ basis.ad(b))
+    b = _floats(coeffs.funcs, t_half, "value")
+    d1, d2 = coeffs._derivative_floats(t_half)
+    ad = basis.bracket(b, [x / 12.0 for x in d1])
+    return np.array([h * x + h ** 3 * (y / 24.0 - z) for x, y, z in zip(b, d2, ad)])
 
 
 # Weights of the classical RK4 tableau, whose nodes are c = 0, 1/2, 1/2, 1.
@@ -131,22 +134,23 @@ def rkmk_increment(
     F_l = dexpinv(T_l, b(t_k + c_l h)) with T_l = h F_1/2, h F_2/2, h F_3
     at c_l = 1/2, 1/2, 1, and w = h (F_1 + 2 F_2 + 2 F_3 + F_4) / 6.
 
-    Runs on coordinate vectors, with dexpinv(T, v) = sum_i (B_i / i!)
-    v ad(T)^i, and evaluates b once each at t_k, t_k + h/2 and t_k + h."""
+    Runs its stages on coordinate lists of Python floats, with
+    dexpinv(T, v) = sum_i (B_i / i!) ad_T^i (v) through AlgebraBasis.bracket,
+    and evaluates b once each at t_k, t_k + h/2 and t_k + h."""
     if h <= 0:
         raise ValueError("h must be positive")
     _check_rkmk_order(truncation_order)
 
-    def stage(theta: np.ndarray, b: np.ndarray) -> np.ndarray:
-        ad = basis.ad(theta)
-        return _dexpinv_series(lambda v: v @ ad, b, truncation_order)
+    def stage(theta: list, b: list) -> list:
+        return _dexpinv_series(lambda v: basis.bracket(theta, v), b, truncation_order)
 
-    f1 = coeffs.values(t_k)
-    b_half = coeffs.values(t_k + 0.5 * h)
-    f2 = stage(h * (0.5 * f1), b_half)
-    f3 = stage(h * (0.5 * f2), b_half)
-    f4 = stage(h * f3, coeffs.values(t_k + h))
-    return h * (_RK4_WEIGHTS @ np.stack((f1, f2, f3, f4)))
+    f1 = _floats(coeffs.funcs, t_k, "value")
+    b_half = _floats(coeffs.funcs, t_k + 0.5 * h, "value")
+    f2 = stage([h * (0.5 * x) for x in f1], b_half)
+    f3 = stage([h * (0.5 * x) for x in f2], b_half)
+    f4 = stage([h * x for x in f3], _floats(coeffs.funcs, t_k + h, "value"))
+    # numpy's weighted sum: summed in Python the last bits of w change
+    return h * (_RK4_WEIGHTS @ np.array((f1, f2, f3, f4)))
 
 
 def make_increment_fn(
@@ -162,14 +166,15 @@ def make_increment_fn(
 def _time_grid(t0: float, t1: float, n_steps: int):
     """(h, times) of a fixed-step run over [t0, t1] in n_steps steps; h is a
     Python float whatever the type of t0 and t1.  Endpoints that are not
-    finite raise ValueError before any grid is built."""
-    if not (math.isfinite(t0) and math.isfinite(t1)):
-        raise ValueError(f"t0 and t1 must be finite, got t0={t0}, t1={t1}")
+    finite, or whose span overflows, raise ValueError before any grid."""
+    span = float(t1) - float(t0)  # Python floats: inf or nan without a warning
+    if not math.isfinite(span):
+        raise ValueError(f"t0 and t1 must be finite, got t0={t0}, t1={t1}, t1 - t0={span}")
     if t1 <= t0:
         raise ValueError("t1 must exceed t0")
     if n_steps < 1:
         raise ValueError("need at least one step")
-    h = float((t1 - t0) / n_steps)
+    h = span / n_steps
     return h, t0 + h * np.arange(n_steps + 1)
 
 

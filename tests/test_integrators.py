@@ -8,6 +8,7 @@ from liesolve.algebra import AlgebraBasis, CoefficientSet
 from liesolve.benchmarks import ck_benchmark_coefficients
 from liesolve.ckspaces import CKParams, ck_generators
 from liesolve.integrators import (
+    _RK4_WEIGHTS,
     NonFiniteStateError,
     StepperConfig,
     integrate_group,
@@ -128,6 +129,21 @@ def test_rkmk_abelian_matches_scalar_rk4_quadrature():
         k4 = b(t_k + h)
         expected = h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         assert w[idx] == pytest.approx(expected, abs=1e-15)
+
+
+def test_rkmk_abelian_is_numpy_weighted_sum_to_the_bit():
+    # criterion 9 (the limit cycle on the diagonal group, h = 0.1 on [0, 2])
+    # keeps its 1e-12 drift on the repelling unit circle only by rounding:
+    # its drift is 3.8e-14, while a 1-ulp change to w_1 gives 3.6e-11.  On an
+    # abelian basis every bracket is 0, so w must be numpy's RK4 weighted
+    # sum of b at the nodes, bit for bit
+    basis = diagonal_basis()
+    coeffs = CoefficientSet(funcs=(lambda t: 1.0 + t * t, math.exp))
+    b = coeffs.values
+    h = 0.1
+    for t in (h * np.arange(20)).tolist():
+        expected = h * (_RK4_WEIGHTS @ np.array([b(t), b(t + h / 2), b(t + h / 2), b(t + h)]))
+        assert np.array_equal(rkmk_increment(basis, coeffs, 2, t, h), expected), t
 
 
 def test_integrate_group_zero_field():
@@ -256,7 +272,7 @@ def test_magnus4_matches_matrix_formula(coordinate_system, analytic):
         d1, d2 = map(basis.element, coeffs.derivatives(t_half))
         expected = h * a + h ** 3 * (d2 / 24.0 - commutator(a, d1 / 12.0))
         w = magnus4_increment(basis, coeffs, t_k, h)
-        assert relative_error(basis.element(w), expected) <= 1e-13
+        assert relative_error(basis.element(w), expected) <= 1e-14
 
 
 # The classical RK4 tableau (a, b, c), the one rkmk_increment runs.

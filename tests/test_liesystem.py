@@ -169,9 +169,8 @@ def test_rk4_needs_at_least_one_step():
         solve_direct_rk4(system, [1.0, 1.0, 1.0], 0.0, 1.0, 0)
 
 
-def test_solvers_reject_non_finite_endpoints():
-    # rejected before a grid is built: no nan grid, no numpy warning, and the
-    # error names t0 and t1, not a coefficient
+def _solver_runs():
+    """run(t0, t1) over 3 steps of the CK system, for every solver."""
     _, system = ck_setup()
     x0 = [1.0, 1.0, 1.0]
     runs = [lambda t0, t1: solve_direct_rk4(system, x0, t0, t1, 3)]
@@ -182,6 +181,13 @@ def test_solvers_reject_non_finite_endpoints():
     runs.append(
         lambda t0, t1: integrate_group(system.basis, system.coeffs, StepperConfig("rkmk"), t0, t1, 3)
     )
+    return runs
+
+
+def test_solvers_reject_non_finite_endpoints():
+    # rejected before a grid is built: no nan grid, no numpy warning, and the
+    # error names t0 and t1, not a coefficient
+    runs = _solver_runs()
     ends = [(0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0), (0.0, np.float64(math.inf))]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -189,6 +195,18 @@ def test_solvers_reject_non_finite_endpoints():
             for t0, t1 in ends:
                 with pytest.raises(ValueError, match=r"t0 and t1 must be finite, got t0="):
                     run(t0, t1)
+
+
+def test_solvers_reject_overflowing_span():
+    # finite endpoints whose span t1 - t0 overflows get the non-finite
+    # endpoint error before h = inf can make a nan grid; the numpy
+    # RuntimeWarning that grid would print is an error under the
+    # error::RuntimeWarning:liesolve filter
+    ends = [(-1e308, 1e308), (np.float64(-1e308), np.float64(1e308)), (-1e308, np.float64(1.7e308))]
+    for run in _solver_runs():
+        for t0, t1 in ends:
+            with pytest.raises(ValueError, match=r"t0 and t1 must be finite, got .*t1 - t0=inf"):
+                run(t0, t1)
 
 
 def test_rk4_rhs_sees_float_stage_times():

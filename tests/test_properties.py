@@ -1,0 +1,82 @@
+"""Property-based tests of the coordinate bracket and the coordinate
+dexp-inverse, over every coordinate_system basis (CK with kappa < 0, = 0,
+> 0 and mixed signs, sl(2) and the abelian diagonal basis)."""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from liesolve.algebra import MAX_DEXPINV_ORDER, _dexpinv_series, dexpinv
+from liesolve.matrixcore import commutator
+
+# The coordinate_system fixture only builds immutable bases, so sharing it
+# across the examples of one test is safe; fixed examples keep runs
+# reproducible.
+properties = settings(
+    derandomize=True, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+# Coordinates of magnitude 0 or 1e-6..1e3: no product of three underflows.
+_coordinate = st.one_of(
+    st.just(0.0), st.floats(1e-6, 1e3), st.floats(-1e3, -1e-6)
+)
+
+
+def _vectors(data, basis, count, elements=_coordinate):
+    return [data.draw(st.lists(elements, min_size=basis.r, max_size=basis.r)) for _ in range(count)]
+
+
+def _norm(x):
+    return float(np.linalg.norm(x))
+
+
+def _c_max(basis):
+    return max(1.0, float(np.abs(basis.structure_constants).max()))
+
+
+@properties
+@given(data=st.data())
+def test_bracket_is_antisymmetric(coordinate_system, data):
+    basis, _ = coordinate_system
+    u, v = _vectors(data, basis, 2)
+    uv, vu = np.array(basis.bracket(u, v)), np.array(basis.bracket(v, u))
+    assert _norm(uv + vu) <= 1e-15 * _c_max(basis) * _norm(u) * _norm(v)
+
+
+@properties
+@given(data=st.data())
+def test_bracket_satisfies_jacobi(coordinate_system, data):
+    basis, _ = coordinate_system
+    u, v, w = _vectors(data, basis, 3)
+    br = basis.bracket
+    total = np.array(br(u, br(v, w))) + np.array(br(v, br(w, u))) + np.array(br(w, br(u, v)))
+    assert _norm(total) <= 1e-14 * _c_max(basis) ** 2 * _norm(u) * _norm(v) * _norm(w)
+
+
+@properties
+@given(data=st.data())
+def test_bracket_matches_matrix_commutator(coordinate_system, data):
+    # relative to ||U|| ||V||, which bounds ||[U, V]|| / 2
+    basis, _ = coordinate_system
+    u, v = _vectors(data, basis, 2)
+    mu, mv = basis.element(np.array(u)), basis.element(np.array(v))
+    got = basis.element(np.array(basis.bracket(u, v)))
+    assert _norm(got - commutator(mu, mv)) <= 1e-13 * _norm(mu) * _norm(mv)
+
+
+@properties
+@given(data=st.data(), order=st.integers(0, MAX_DEXPINV_ORDER))
+def test_coordinate_dexpinv_matches_matrix_dexpinv(coordinate_system, data, order):
+    # the RKMK stage: the series through basis.bracket on coordinate lists
+    # is the matrix dexpinv of the elements
+    basis, _ = coordinate_system
+    (theta,) = _vectors(data, basis, 1, st.floats(-0.5, 0.5))
+    (v,) = _vectors(data, basis, 1)
+    m_theta, m_v = basis.element(np.array(theta)), basis.element(np.array(v))
+    got = basis.element(np.array(_dexpinv_series(lambda x: basis.bracket(theta, x), v, order)))
+    expected = dexpinv(m_theta, m_v, order)
+    scale = _norm(m_v) * (1.0 + 2.0 * _norm(m_theta)) ** order
+    assert _norm(got - expected) <= 1e-13 * scale
