@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .matrixcore import DimensionMismatchError, central_second_derivatives, commutator
+from .matrixcore import DimensionMismatchError, commutator
 
 # Convention with B1 = -1/2 (the one that makes the dexp-inverse truncation
 # read H - [W,H]/2 + [W,[W,H]]/12 + ...).
@@ -37,11 +37,6 @@ MAX_DEXPINV_ORDER = len(_BERNOULLI) - 1
 _DEXPINV_COEFFS = tuple(float(b / math.factorial(i)) for i, b in enumerate(_BERNOULLI))
 
 STRUCTURE_TOL = 1e-10
-
-# Default finite-difference step for coefficient derivatives; balances
-# truncation vs round-off at double precision for smooth coefficients.
-def default_fd_step(t: float) -> float:
-    return max(1e-4, 1e-4 * abs(t))
 
 
 @dataclass(frozen=True)
@@ -146,15 +141,28 @@ class CoefficientSet:
 
     def derivatives(self, t: float):
         """(b'(t), b''(t)), analytic where derivatives were supplied and
-        central differences of values (step default_fd_step(t)) otherwise."""
+        central differences of values otherwise: the five-point stencil for
+        b', the three-point one for b'', with step max(1e-4, 1e-4 |t|)."""
         return tuple(map(np.array, self._derivative_floats(t)))
 
     def _derivative_floats(self, t: float):
         """derivatives(t) as two lists of Python floats."""
         if self.d1 is None or self.d2 is None:
-            fd1, fd2 = central_second_derivatives(self.values, t, default_fd_step(t))
-        d1 = fd1.tolist() if self.d1 is None else _floats(self.d1, t, "derivative")
-        d2 = fd2.tolist() if self.d2 is None else _floats(self.d2, t, "derivative")
+            # the step balances truncation against round-off at double
+            # precision for smooth coefficients
+            h = max(1e-4, 1e-4 * abs(t))
+            fm2, fm1, f0, fp1, fp2 = (
+                _floats(self.funcs, s, "value") for s in (t - 2 * h, t - h, t, t + h, t + 2 * h)
+            )
+            fd1 = [
+                (-p2 + 8.0 * p1 - 8.0 * m1 + m2) / (12.0 * h)
+                for m2, m1, p1, p2 in zip(fm2, fm1, fp1, fp2)
+            ]
+            fd2 = [(p1 - 2.0 * x + m1) / (h * h) for m1, x, p1 in zip(fm1, f0, fp1)]
+            if not all(map(math.isfinite, fd1 + fd2)):
+                raise ValueError(f"non-finite derivative estimate at t={t}")
+        d1 = fd1 if self.d1 is None else _floats(self.d1, t, "derivative")
+        d2 = fd2 if self.d2 is None else _floats(self.d2, t, "derivative")
         return d1, d2
 
 

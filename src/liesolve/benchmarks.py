@@ -97,16 +97,11 @@ def riccati_rhs(b1, b2, b12):
     return rhs
 
 
-def riccati_superposition(
-    x1: float, x2: float, x3: float, rho: float = 0.0, *, rho_infinite: bool = False
-) -> float:
+def riccati_superposition(x1: float, x2: float, x3: float, rho: float = 0.0) -> float:
     """General solution from three particular solutions:
-    [x2 (x3-x1) + rho x3 (x1-x2)] / [(x3-x1) + rho (x1-x2)];
-    rho_infinite selects the exact rho -> infinity limit, x3."""
+    [x2 (x3-x1) + rho x3 (x1-x2)] / [(x3-x1) + rho (x1-x2)]."""
     if x1 == x2 or x2 == x3 or x1 == x3:
         raise ValueError("particular solutions must be pairwise distinct")
-    if rho_infinite:
-        return float(x3)
     denom = (x3 - x1) + rho * (x1 - x2)
     if denom == 0.0:
         raise ZeroDivisionError("superposition denominator vanished")

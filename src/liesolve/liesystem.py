@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraBasis, CoefficientSet
+from .algebra import AlgebraBasis, CoefficientSet, _check_arity
 from .integrators import (
     GroupTrajectory,
     NonFiniteStateError,
@@ -78,8 +78,7 @@ class LieSystemSpec:
     invariant: Optional[Callable[[np.ndarray], float]] = None
 
     def __post_init__(self):
-        if self.basis.r != self.coeffs.r:
-            raise ValueError("basis rank and coefficient arity differ")
+        _check_arity(self.basis, self.coeffs)
 
 
 @dataclass
@@ -104,9 +103,9 @@ def solve(
     """Geometric solve in one pass: each group step E_k = exp(W_k),
     Y_{k+1} = E_k Y_k, is followed by x_{k+1} = phi(E_k, x_k).
 
-    The first failing step k raises ActionDomainError (outside the action's
-    domain) or NonFiniteStateError (Y or x blew up) with step=k and the
-    trajectory up to t_k."""
+    The first failing step k raises the action's own ActionDomainError,
+    subtype kept (outside the action's domain), or NonFiniteStateError (Y
+    or x blew up), with step=k and the trajectory up to t_k."""
     x = np.asarray(x0, dtype=float)
     if x.shape != (sys.dim,):
         raise ValueError(f"initial point must have dimension {sys.dim}")
@@ -123,9 +122,10 @@ def solve(
             try:
                 x = sys.action.act(e, x)
             except ActionDomainError as err:
-                raise ActionDomainError(
-                    f"group action undefined at step {k} (t={times[k]:g}): {err}", step=k
-                ) from err
+                # the same object, so that a subtype such as CoordinateChartError survives
+                err.args = (f"group action undefined at step {k} (t={times[k]:g}): {err}",)
+                err.step = k
+                raise
             if not np.isfinite(x).all():
                 raise NonFiniteStateError(f"non-finite state at step {k} (t={times[k]:g})", step=k)
             points[k + 1] = x

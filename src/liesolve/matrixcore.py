@@ -1,4 +1,4 @@
-"""Dense small-matrix arithmetic: commutators, exponential, finite differences.
+"""Dense small-matrix arithmetic: the commutator and the exponential.
 
 Everything in this package runs on tiny dense real matrices (2x2 and 3x3 in
 practice, n <= 16 tested), so the exponential uses plain scaling-and-squaring
@@ -83,22 +83,3 @@ def mat_exp(a: np.ndarray) -> np.ndarray:
         raise FloatingPointError(f"matrix exponential overflows (||A||_F = {nrm:g})")
     return acc
 
-
-def central_second_derivatives(f, t: float, step: float):
-    """Central-difference first and second derivatives of a matrix curve.
-
-    First derivative uses the 4th-order five-point stencil, second
-    derivative the standard 2nd-order three-point stencil.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    fm2 = np.asarray(f(t - 2 * step), dtype=float)
-    fm1 = np.asarray(f(t - step), dtype=float)
-    f0 = np.asarray(f(t), dtype=float)
-    fp1 = np.asarray(f(t + step), dtype=float)
-    fp2 = np.asarray(f(t + 2 * step), dtype=float)
-    d1 = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * step)
-    d2 = (fp1 - 2.0 * f0 + fm1) / (step * step)
-    if not (np.isfinite(d1).all() and np.isfinite(d2).all()):
-        raise ValueError(f"non-finite derivative estimate at t={t}")
-    return d1, d2

@@ -252,6 +252,36 @@ def test_coefficient_derivatives_reject_non_finite():
         coeffs.derivatives(0.25)
 
 
+def test_finite_difference_derivatives_match_numpy_stencil():
+    # the stencil on Python floats rounds exactly like the same stencil on
+    # float64 arrays: five value calls at the same points, the same step
+    # and the same operation order
+    calls = []
+
+    def cubic(t):
+        calls.append(t)
+        return t ** 3 - 2.0 * t
+
+    coeffs = CoefficientSet(funcs=(math.sin, cubic, lambda t: math.exp(0.01 * t), lambda t: 3.0))
+    for t in (0.0, -0.3, 0.7, 3.0, -250.0):
+        h = max(1e-4, 1e-4 * abs(t))
+        points = (t - 2 * h, t - h, t, t + h, t + 2 * h)
+        fm2, fm1, f0, fp1, fp2 = map(coeffs.values, points)
+        calls.clear()
+        d1, d2 = coeffs.derivatives(t)
+        assert calls == list(points)
+        assert np.array_equal(d1, (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h))
+        assert np.array_equal(d2, (fp1 - 2.0 * f0 + fm1) / (h * h))
+
+
+def test_finite_difference_derivatives_reject_overflow():
+    # finite values whose differences overflow: the typed error, and no
+    # RuntimeWarning on the way
+    coeffs = CoefficientSet(funcs=(lambda t: 1e308 * t,))
+    with pytest.raises(ValueError, match=r"non-finite derivative estimate at t=1\.0"):
+        coeffs.derivatives(1.0)
+
+
 def test_coefficient_values_reject_non_finite():
     for bad in (math.inf, -math.inf, math.nan):
         coeffs = CoefficientSet(funcs=(math.sin, lambda t, bad=bad: bad))

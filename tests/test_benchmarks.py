@@ -160,7 +160,6 @@ def test_geometric_solution_tracks_fine_rk4():
 
 def test_superposition_special_values():
     assert riccati_superposition(0.0, 1.0, 2.0, 0.0) == 1.0
-    assert riccati_superposition(0.0, 1.0, 2.0, rho_infinite=True) == 2.0
     assert riccati_superposition(0.0, 1.0, 2.0, 1.0) == pytest.approx(0.0)
 
 

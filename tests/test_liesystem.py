@@ -12,11 +12,19 @@ from liesolve.benchmarks import (
     radial_flow,
     rotation_flow,
 )
-from liesolve.ckspaces import CKParams, ck_exp_closed, ck_invariant, ck_lie_system
+from liesolve.ckspaces import (
+    CKParams,
+    CoordinateChartError,
+    ck_exp_closed,
+    ck_generators,
+    ck_invariant,
+    ck_lie_system,
+)
 from liesolve.integrators import GEOMETRIC_METHODS, StepperConfig, integrate_group
 from liesolve.liesystem import (
     ActionDomainError,
     GroupAction,
+    LieSystemSpec,
     NonFiniteStateError,
     Trajectory,
     estimate_order,
@@ -100,6 +108,24 @@ def test_solve_stops_group_at_first_action_failure():
     # two group steps, each evaluating the coefficients at the three
     # distinct RK4 stage times; none past the failing step
     assert calls == pytest.approx([0.0, 0.05, 0.1, 0.1, 0.15, 0.2])
+
+
+def test_solve_keeps_the_action_error_subtype():
+    # one step of [3, 4] leaves the second-kind chart of this CK group: the
+    # action's CoordinateChartError (a ValueError too) reaches the caller
+    # with the step and the partial trajectory added
+    system = ck_lie_system(
+        CKParams(-1.0, 1.0), ck_benchmark_coefficients(), action_mode="flow-composition"
+    )
+    with pytest.raises(CoordinateChartError) as excinfo:
+        solve(system, [1.0, 1.0, 1.0], 3.0, 4.0, 1, StepperConfig("magnus2"))
+    err = excinfo.value
+    assert isinstance(err, ValueError)
+    assert str(err) == (
+        "group action undefined at step 0 (t=3): group element outside the extraction chart"
+    )
+    assert err.step == 0
+    assert len(err.partial.points) == 1
 
 
 @pytest.mark.parametrize("method", ["magnus2", "magnus4", "rkmk"])
@@ -347,6 +373,12 @@ def test_estimate_order_on_ck_sweep(ck_reference):
         errs.append(global_error(traj, ck_reference))
     assert 3.6 <= estimate_order(hs, errs) <= 4.4
     assert all(e1 > e2 for e1, e2 in zip(errs, errs[1:]))
+
+
+def test_spec_checks_arity_like_integrate_group():
+    coeffs = CoefficientSet(funcs=(math.cos, math.sin))
+    with pytest.raises(ValueError, match="^coefficient arity 2 != basis rank 3$"):
+        LieSystemSpec(ck_generators(CKParams(0.8, -0.5)), coeffs, GroupAction(), 3, rhs=None)
 
 
 def test_group_action_validation():

@@ -4,9 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
+from liesolve.algebra import CoefficientSet
 from liesolve.matrixcore import (
     DimensionMismatchError,
-    central_second_derivatives,
     commutator,
     mat_exp,
 )
@@ -143,24 +143,26 @@ def test_mat_exp_matches_mpmath(n, norm):
             assert err <= 1e-13
 
 
+# The central-difference stencil lives in CoefficientSet: b' on five points,
+# b'' on three, with step h = max(1e-4, 1e-4 |t|).  A matrix curve c(t) M is
+# the coefficient set with entries c(t) M_ij.
+def _curve(c, m):
+    return CoefficientSet(funcs=tuple(lambda t, w=w: w * c(t) for w in m.ravel()))
+
+
 def test_central_derivatives_constant_and_linear():
     m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    d1, d2 = central_second_derivatives(lambda t: m, 0.7, 1e-3)
+    d1, d2 = _curve(lambda t: 1.0, m).derivatives(0.7)
     assert np.abs(d1).max() <= 1e-10
     assert np.abs(d2).max() <= 1e-7
-    d1, d2 = central_second_derivatives(lambda t: t * m, 0.7, 1e-3)
-    assert np.allclose(d1, m, atol=1e-10)
+    d1, d2 = _curve(lambda t: t, m).derivatives(0.7)
+    assert np.allclose(d1, m.ravel(), atol=1e-10)
     assert np.abs(d2).max() <= 1e-7
 
 
 def test_central_derivatives_sine():
     m = np.array([[1.0, -2.0], [0.5, 3.0]])
-    step = 1e-3
-    d1, d2 = central_second_derivatives(lambda t: math.sin(t) * m, 0.0, step)
-    assert np.abs(d1 - m).max() <= 10 * step ** 2
+    step = 1e-4
+    d1, d2 = _curve(math.sin, m).derivatives(0.0)
+    assert np.abs(d1 - m.ravel()).max() <= 10 * step ** 2
     assert np.abs(d2).max() <= 10 * step ** 2
-
-
-def test_central_derivatives_rejects_bad_step():
-    with pytest.raises(ValueError):
-        central_second_derivatives(lambda t: np.eye(2), 0.0, 0.0)
