@@ -3,18 +3,12 @@
 from .algebra import (
     AlgebraBasis,
     CoefficientSet,
-    assemble_A,
-    dexpinv,
 )
 from .integrators import (
     GroupTrajectory,
     NonFiniteStateError,
     StepperConfig,
     integrate_group,
-    magnus2_increment,
-    magnus4_increment,
-    rk4_direct_step,
-    rkmk_increment,
 )
 from .liesystem import (
     ActionDomainError,
@@ -26,10 +20,7 @@ from .liesystem import (
     solve,
     solve_direct_rk4,
 )
-from .matrixcore import (
-    commutator,
-    mat_exp,
-)
+from .matrixcore import mat_exp
 
 __all__ = [
     "ActionDomainError",
@@ -41,17 +32,10 @@ __all__ = [
     "NonFiniteStateError",
     "StepperConfig",
     "Trajectory",
-    "assemble_A",
-    "commutator",
-    "dexpinv",
     "estimate_order",
     "global_error",
     "integrate_group",
-    "magnus2_increment",
-    "magnus4_increment",
     "mat_exp",
-    "rk4_direct_step",
-    "rkmk_increment",
     "solve",
     "solve_direct_rk4",
 ]

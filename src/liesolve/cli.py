@@ -129,10 +129,12 @@ def run_limit_cycle(args) -> int:
     if args.method is not None:
         n = _steps_from_args(args, default_h=0.1)
         pairs = [(args.method, n)]
+    elif args.h is not None or args.steps is not None:
+        raise SystemExit("error: --h and --steps need --method")
     else:
-        span = args.t1 - args.t0
-        pairs = [("rkmk", round(span / 0.1)), ("rk4", round(span / 0.02)),
-                 ("rk4", round(span / 0.01))]
+        # with neither --h nor --steps, each default h must tile the span
+        pairs = [(method, _steps_from_args(args, default_h=h))
+                 for method, h in (("rkmk", 0.1), ("rk4", 0.02), ("rk4", 0.01))]
 
     for method, n in pairs:
         h = (args.t1 - args.t0) / n
@@ -152,6 +154,8 @@ def run_limit_cycle(args) -> int:
 
 
 def run_convergence(args) -> int:
+    if args.levels < 2:
+        raise SystemExit("error: --levels must be at least 2 to fit an order")
     ck = CKParams(args.kappa1, args.kappa2)
     system = ck_lie_system(ck, ck_benchmark_coefficients())
     x0 = _parse_x0(args.x0, 3)

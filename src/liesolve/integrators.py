@@ -9,7 +9,8 @@ one place where w becomes the group element exp(AlgebraBasis.element(w))."""
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from functools import partial
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -41,15 +42,6 @@ class NonFiniteStateError(_StepError, FloatingPointError):
     solution blew up)."""
 
 
-def _check_rkmk_order(truncation_order: int) -> None:
-    """RKMK runs the order-4 RK4 tableau, so its dexp-inverse truncation
-    needs j >= p - 2 = 2, and at most MAX_DEXPINV_ORDER."""
-    if not 2 <= truncation_order <= MAX_DEXPINV_ORDER:
-        raise ValueError(
-            f"RKMK truncation order must be in [2, {MAX_DEXPINV_ORDER}], got {truncation_order}"
-        )
-
-
 @dataclass(frozen=True)
 class StepperConfig:
     """Method selection for the group-side stepper: magnus2, magnus4 or rkmk.
@@ -65,8 +57,11 @@ class StepperConfig:
     def __post_init__(self):
         if self.method not in GEOMETRIC_METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.method == "rkmk":
-            _check_rkmk_order(self.truncation_order)
+        # RKMK runs the order-4 RK4 tableau, so its dexp-inverse truncation
+        # needs j >= p - 2 = 2, and at most MAX_DEXPINV_ORDER
+        j = self.truncation_order
+        if self.method == "rkmk" and not 2 <= j <= MAX_DEXPINV_ORDER:
+            raise ValueError(f"RKMK truncation order must be in [2, {MAX_DEXPINV_ORDER}], got {j}")
 
 
 @dataclass
@@ -102,9 +97,8 @@ def _new_group(times: np.ndarray, basis: AlgebraBasis) -> GroupTrajectory:
 def magnus2_increment(
     basis: AlgebraBasis, coeffs: CoefficientSet, t_k: float, h: float
 ) -> np.ndarray:
-    """Order 2: W_k = h A(t_k + h/2), i.e. w = h b(t_k + h/2)."""
-    if h <= 0:
-        raise ValueError("h must be positive")
+    """Order 2: W_k = h A(t_k + h/2), i.e. w = h b(t_k + h/2).  h > 0 is
+    not checked here: it comes from _time_grid."""
     return h * coeffs.values(t_k + 0.5 * h)
 
 
@@ -113,9 +107,8 @@ def magnus4_increment(
 ) -> np.ndarray:
     """Order 4: with b, b', b'' the coefficients and their derivatives at
     t+h/2, w = h b + h^3 (b''/24 - [b, b'/12]), the coordinates of
-    h A + h^3 (A''/24 - [A, A'/12]) at t+h/2."""
-    if h <= 0:
-        raise ValueError("h must be positive")
+    h A + h^3 (A''/24 - [A, A'/12]) at t+h/2.  h > 0 is not checked here:
+    it comes from _time_grid."""
     t_half = t_k + 0.5 * h
     b = _floats(coeffs.funcs, t_half, "value")
     d1, d2 = coeffs._derivative_floats(t_half)
@@ -136,10 +129,9 @@ def rkmk_increment(
 
     Runs its stages on coordinate lists of Python floats, with
     dexpinv(T, v) = sum_i (B_i / i!) ad_T^i (v) through AlgebraBasis.bracket,
-    and evaluates b once each at t_k, t_k + h/2 and t_k + h."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    _check_rkmk_order(truncation_order)
+    and evaluates b once each at t_k, t_k + h/2 and t_k + h.  Neither input
+    is checked here: h > 0 comes from _time_grid, and
+    2 <= truncation_order <= MAX_DEXPINV_ORDER from StepperConfig."""
 
     def stage(theta: list, b: list) -> list:
         return _dexpinv_series(lambda v: basis.bracket(theta, v), b, truncation_order)
@@ -151,16 +143,6 @@ def rkmk_increment(
     f4 = stage([h * x for x in f3], _floats(coeffs.funcs, t_k + h, "value"))
     # numpy's weighted sum: summed in Python the last bits of w change
     return h * (_RK4_WEIGHTS @ np.array((f1, f2, f3, f4)))
-
-
-def make_increment_fn(
-    basis: AlgebraBasis, coeffs: CoefficientSet, config: StepperConfig
-) -> Callable[[float, float], np.ndarray]:
-    if config.method == "magnus2":
-        return lambda t, h: magnus2_increment(basis, coeffs, t, h)
-    if config.method == "magnus4":
-        return lambda t, h: magnus4_increment(basis, coeffs, t, h)
-    return lambda t, h: rkmk_increment(basis, coeffs, config.truncation_order, t, h)
 
 
 def _time_grid(t0: float, t1: float, n_steps: int):
@@ -188,7 +170,13 @@ def _group_steps(
 
     An E_k or Y_{k+1} that is not finite raises NonFiniteStateError with
     step=k and the group, cut to t_0..t_k."""
-    increment = make_increment_fn(basis, coeffs, config)
+    # the kernels are looked up here, as module globals, when the solve
+    # starts: a kernel rebound in this module is the one that steps
+    increment = {
+        "magnus2": partial(magnus2_increment, basis, coeffs),
+        "magnus4": partial(magnus4_increment, basis, coeffs),
+        "rkmk": partial(rkmk_increment, basis, coeffs, config.truncation_order),
+    }[config.method]
     # the increments and the coefficients get Python floats: numpy scalars
     # make their arithmetic slower
     for k, t in enumerate(group.times[:-1].tolist()):

@@ -175,10 +175,21 @@ def test_extract_round_trip():
 
 
 def test_extract_rejects_far_elements():
-    ck = CKParams(1.0, 1.0)
-    g = ck_exp_closed(ck, 0, math.pi)  # g11 = cos(pi) < 0, outside the chart
-    with pytest.raises(CoordinateChartError):
-        ck_extract_coords(ck, g)
+    # g11 = cos(pi) < 0 fails the sign test.  In the next two, g11 = g33 = 1
+    # pass it, but -g21/g11 = 2 is past the pole of the kappa1 = -1 tangent
+    # and -g31 = 2 past the range of the kappa1 kappa2 = 1 sine
+    g_tan, g_sin = np.eye(3), np.eye(3)
+    g_tan[1, 0] = g_sin[2, 0] = -2.0
+    cases = [
+        (CKParams(1.0, 1.0), ck_exp_closed(CKParams(1.0, 1.0), 0, math.pi),
+         "group element outside the extraction chart"),
+        (CKParams(-1.0, 1.0), g_tan, "kappa-arctangent argument 2.0 out of (-1, 1)"),
+        (CKParams(1.0, 1.0), g_sin, "kappa-arcsine argument 2.0 out of [-1, 1]"),
+    ]
+    for ck, g, message in cases:
+        with pytest.raises(CoordinateChartError) as excinfo:
+            ck_extract_coords(ck, g)
+        assert str(excinfo.value) == message
 
 
 def test_action_modes_agree_near_identity():

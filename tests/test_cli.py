@@ -100,6 +100,34 @@ def test_limit_cycle_partial_past_group_overflow(tmp_path):
         assert len((tmp_path / f"lc_{name}.csv").read_text().splitlines()) == lines
 
 
+@pytest.mark.parametrize("flag", [["--h", "0.05"], ["--steps", "20"]])
+def test_limit_cycle_step_options_need_a_method(tmp_path, flag):
+    # the three default runs each have their own h; a step option is not
+    # silently dropped
+    with pytest.raises(SystemExit, match="need --method"):
+        main(["limit-cycle", *flag, "--out", str(tmp_path / "lc.csv")])
+    assert not list(tmp_path.iterdir())
+
+
+def test_limit_cycle_default_pairs_must_tile(tmp_path):
+    # h = 0.1 does not tile [0, 2.05]: no file, where 21 steps of h = 0.1025
+    # and 102 of h = 0.020098 were written before
+    with pytest.raises(SystemExit, match=r"step size 0.1 does not tile \[0.0, 2.05\]"):
+        main(["limit-cycle", "--t1", "2.05", "--out", str(tmp_path / "lc.csv")])
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("levels", ["0", "1"])
+def test_convergence_rejects_fewer_than_two_levels(tmp_path, monkeypatch, levels):
+    # a slope needs two step sizes: rejected before any solve
+    solves = []
+    monkeypatch.setattr("liesolve.cli.solve", lambda *args: solves.append(args))
+    with pytest.raises(SystemExit, match="--levels must be at least 2"):
+        main(["convergence", "--levels", levels, "--out", str(tmp_path / "conv.csv")])
+    assert solves == []
+    assert not list(tmp_path.iterdir())
+
+
 def test_convergence_slopes(tmp_path, capsys):
     out = tmp_path / "conv.csv"
     code = main(

@@ -305,10 +305,3 @@ def test_rkmk_matches_matrix_formula(coordinate_system, table):
             expected = rkmk_matrix_reference(basis, coeffs, table, j, t_k, h)
             w = rkmk_increment(basis, coeffs, j, t_k, h)
             assert relative_error(basis.element(w), expected) <= 1e-13, (j, t_k, h)
-
-
-def test_rkmk_rejects_truncation_order_out_of_range():
-    basis, coeffs = constant_basis_coeffs(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    for j in (1, 11):
-        with pytest.raises(ValueError):
-            rkmk_increment(basis, coeffs, j, 0.0, 0.1)

@@ -178,6 +178,32 @@ def test_solve_transports_up_to_group_overflow():
     assert_partial_owns_rows(err.partial, 65)
 
 
+def test_solve_reports_non_finite_state_step():
+    # Y_k = diag(e^{kh}, 1) stays finite while the linear action's
+    # x_k = (1e308 e^{kh}, 1) overflows at step 5 of h = 0.1
+    basis = AlgebraBasis((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), np.zeros((2, 2, 2)))
+    coeffs = CoefficientSet(funcs=(lambda t: 1.0, lambda t: 0.0))
+    system = LieSystemSpec(basis, coeffs, GroupAction(), 2, rhs=None)
+    for method in GEOMETRIC_METHODS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteStateError) as excinfo:
+                solve(system, [1e308, 1.0], 0.0, 1.0, 10, StepperConfig(method))
+        err = excinfo.value
+        assert str(err) == "non-finite state at step 5 (t=0.5)", method
+        assert err.step == 5
+        assert len(err.partial.points) == 6
+        assert np.isfinite(err.partial.points).all()
+        assert len(err.partial.group.elements) == 6
+
+
+def test_solve_checks_the_initial_point_dimension():
+    _, system = ck_setup()
+    for x0 in ([1.0, 1.0], [[1.0, 1.0, 1.0]]):
+        with pytest.raises(ValueError, match="^initial point must have dimension 3$"):
+            solve(system, x0, 3.0, 4.0, 2, StepperConfig("magnus2"))
+
+
 def test_rk4_reports_blowup_step():
     system = limit_cycle_system(lambda t: 1.0 + t * t, math.exp)
     with pytest.raises(FloatingPointError) as excinfo:
@@ -212,7 +238,8 @@ def _solver_runs():
 
 def test_solvers_reject_non_finite_endpoints():
     # rejected before a grid is built: no nan grid, no numpy warning, and the
-    # error names t0 and t1, not a coefficient
+    # error names t0 and t1, not a coefficient; an empty or reversed span is
+    # rejected there too, which is what lets the steps take h > 0 unchecked
     runs = _solver_runs()
     ends = [(0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0), (0.0, np.float64(math.inf))]
     with warnings.catch_warnings():
@@ -220,6 +247,9 @@ def test_solvers_reject_non_finite_endpoints():
         for run in runs:
             for t0, t1 in ends:
                 with pytest.raises(ValueError, match=r"t0 and t1 must be finite, got t0="):
+                    run(t0, t1)
+            for t0, t1 in ((1.0, 1.0), (1.0, 0.0)):
+                with pytest.raises(ValueError, match="^t1 must exceed t0$"):
                     run(t0, t1)
 
 
@@ -390,3 +420,7 @@ def test_group_action_validation():
     # no flows: the linear action
     x = np.array([1.0, 2.0])
     assert np.array_equal(GroupAction().act(np.diag((2.0, 3.0)), x), [2.0, 6.0])
+    # an extractor that returns fewer coordinates than there are flows
+    action = GroupAction((rotation_flow, radial_flow), extract=lambda g: (0.0,))
+    with pytest.raises(ValueError, match="^extracted coordinate count does not match flow count$"):
+        action.act(np.eye(2), x)

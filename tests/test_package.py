@@ -10,17 +10,10 @@ PUBLIC_NAMES = [
     "NonFiniteStateError",
     "StepperConfig",
     "Trajectory",
-    "assemble_A",
-    "commutator",
-    "dexpinv",
     "estimate_order",
     "global_error",
     "integrate_group",
-    "magnus2_increment",
-    "magnus4_increment",
     "mat_exp",
-    "rk4_direct_step",
-    "rkmk_increment",
     "solve",
     "solve_direct_rk4",
 ]
