@@ -71,7 +71,7 @@ def limit_cycle_system(b1, b2) -> LieSystemSpec:
         x, y = np.asarray(p, dtype=float).tolist()
         c1, c2 = b1(t), b2(t)
         u = x * x + y * y - 1.0
-        return np.array([c1 * y + c2 * u * x, -c1 * x + c2 * u * y])
+        return np.array([c1 * y + c2 * u * x, -c1 * x + c2 * u * y], dtype=float)
 
     return LieSystemSpec(
         basis=basis,
@@ -92,7 +92,10 @@ def riccati_rhs(b1, b2, b12):
 
     def rhs(t, x):
         x = np.asarray(x, dtype=float)
-        return b1(t) + b2(t) * x + b12(t) * x ** 2
+        c1, c2, c12 = b1(t), b2(t), b12(t)
+        # on Python floats, in the order of c1 + c2 x + c12 x**2 on arrays
+        out = [c1 + c2 * v + c12 * (v * v) for v in x.ravel().tolist()]
+        return np.array(out, dtype=float).reshape(x.shape)
 
     return rhs
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraBasis, CoefficientSet
+from .algebra import AlgebraBasis, CoefficientSet, _floats
 from .liesystem import ActionDomainError, GroupAction, LieSystemSpec
 
 # |kappa| below this is treated as exactly zero (parabolic branch).
@@ -173,14 +173,15 @@ def ck_invariant(ck: CKParams, x) -> float:
 def ck_system_rhs(ck: CKParams, coeffs: CoefficientSet, t: float, x) -> np.ndarray:
     """The ambient-coordinate ODE: dx/dt = (b1 M_P1 + b2 M_P2 + b12 M_J12) x."""
     x0, x1, x2 = np.asarray(x, dtype=float).tolist()
-    b1, b2, b12 = coeffs.values(t).tolist()
+    b1, b2, b12 = _floats(coeffs.funcs, t, "value")
     k1, k2 = ck.kappa1, ck.kappa2
     return np.array(
         [
             b1 * k1 * x1 + b2 * k1 * k2 * x2,
             -b1 * x0 + b12 * k2 * x2,
             -b2 * x0 - b12 * x1,
-        ]
+        ],
+        dtype=float,
     )
 
 

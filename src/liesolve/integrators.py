@@ -168,8 +168,8 @@ def _group_steps(
     writes the coordinates w_k of W_k and Y_{k+1} = E_k Y_k into group, then
     yields E_k = exp(W_k).
 
-    An E_k or Y_{k+1} that is not finite raises NonFiniteStateError with
-    step=k and the group, cut to t_0..t_k."""
+    A W_k, E_k or Y_{k+1} that is not finite raises NonFiniteStateError
+    with step=k and the group, cut to t_0..t_k."""
     # the kernels are looked up here, as module globals, when the solve
     # starts: a kernel rebound in this module is the one that steps
     increment = {
@@ -186,7 +186,8 @@ def _group_steps(
             np.matmul(e, group.elements[k], out=group.elements[k + 1])
             if not np.isfinite(group.elements[k + 1]).all():
                 raise FloatingPointError("Y overflows")
-        except FloatingPointError as err:
+        except (FloatingPointError, ValueError) as err:
+            # mat_exp raises ValueError for a W_k whose increment overflowed
             group._cut(k)
             raise NonFiniteStateError(
                 f"non-finite group element at step {k} (t={t:g})", step=k, partial=group
@@ -217,15 +218,41 @@ def integrate_group(
     return group
 
 
+def _slope(f, t: float, y: np.ndarray, size: int) -> list:
+    """f(t, y) read once as a list of Python floats; an output of another
+    size than y's raises ValueError."""
+    k = np.asarray(f(t, y), dtype=float)
+    k = (k if k.ndim == 1 else k.ravel()).tolist()
+    if len(k) != size:
+        raise ValueError(f"rhs returned {len(k)} values for a state of size {size}")
+    return k
+
+
 def rk4_direct_step(f, t: float, h: float, x: np.ndarray) -> np.ndarray:
     """Classical explicit RK4 update on raw coordinates (the non-geometric
-    baseline)."""
+    baseline).
+
+    f(t, y) gets each stage state y as a float64 array of x's shape and may
+    return any array-like of x's size; another size raises ValueError.  The
+    arithmetic runs on Python floats in numpy's operation order, so the
+    result is bit-identical to x + h/6 (k1 + 2 k2 + 2 k3 + k4) on arrays."""
+    # Python floats: numpy calls cost more than the arithmetic on a few entries
     x = np.asarray(x, dtype=float)
-    k1 = np.asarray(f(t, x), dtype=float)
-    k2 = np.asarray(f(t + 0.5 * h, x + 0.5 * h * k1), dtype=float)
-    k3 = np.asarray(f(t + 0.5 * h, x + 0.5 * h * k2), dtype=float)
-    k4 = np.asarray(f(t + h, x + h * k3), dtype=float)
-    out = x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.isfinite(out).all():
+    xs = x.ravel().tolist()
+    size = len(xs)
+
+    def array(v: list) -> np.ndarray:
+        # np.array of a flat list has x's shape already when x is 1-D
+        y = np.array(v, dtype=float)
+        return y if x.ndim == 1 else y.reshape(x.shape)
+
+    half = 0.5 * h
+    k1 = _slope(f, t, x, size)
+    k2 = _slope(f, t + half, array([a + half * b for a, b in zip(xs, k1)]), size)
+    k3 = _slope(f, t + half, array([a + half * b for a, b in zip(xs, k2)]), size)
+    k4 = _slope(f, t + h, array([a + h * b for a, b in zip(xs, k3)]), size)
+    sixth = h / 6.0
+    out = [a + sixth * (p + 2.0 * q + 2.0 * r + s) for a, p, q, r, s in zip(xs, k1, k2, k3, k4)]
+    if not all(map(math.isfinite, out)):
         raise FloatingPointError(f"non-finite RK4 state at t={t}")
-    return out
+    return array(out)

@@ -91,6 +91,15 @@ class Trajectory:
     group: Optional[GroupTrajectory] = None
 
 
+def _initial_point(x0) -> np.ndarray:
+    """x0 as a float array; one that is not finite raises ValueError before
+    any step, so that no step is blamed for it."""
+    x = np.asarray(x0, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError(f"initial point x0 must be finite, got x0={x.tolist()}")
+    return x
+
+
 @np.errstate(over="ignore", invalid="ignore")  # each step checks Y and x are finite
 def solve(
     sys: LieSystemSpec,
@@ -106,7 +115,7 @@ def solve(
     The first failing step k raises the action's own ActionDomainError,
     subtype kept (outside the action's domain), or NonFiniteStateError (Y
     or x blew up), with step=k and the trajectory up to t_k."""
-    x = np.asarray(x0, dtype=float)
+    x = _initial_point(x0)
     if x.shape != (sys.dim,):
         raise ValueError(f"initial point must have dimension {sys.dim}")
     h, times = _time_grid(t0, t1, n_steps)
@@ -149,8 +158,8 @@ def solve_direct_rk4(
 
     A state that blows up at step k raises NonFiniteStateError with step=k
     and the trajectory up to t_k."""
+    x = _initial_point(x0)
     h, times = _time_grid(t0, t1, n_steps)
-    x = np.asarray(x0, dtype=float)
     points = np.empty((n_steps + 1,) + x.shape)
     points[0] = x
     # the rhs gets Python floats: numpy scalars make its arithmetic slower

@@ -182,6 +182,18 @@ def test_rho_round_trip():
     assert riccati_rho_from_solution(0.0, 1.0, 2.0, 1.0) == 0.0
 
 
+def test_riccati_rhs_is_the_array_formula_to_the_bit():
+    b1, b2, b12 = (lambda t: 1.0), (lambda t: t), math.sin
+    rhs = riccati_rhs(b1, b2, b12)
+    rng = np.random.default_rng(27)
+    for shape in ((4,), (2, 3)):
+        for _ in range(20):
+            t, x = rng.uniform(0.0, 2.0), rng.uniform(-3.0, 3.0, shape)
+            out = rhs(t, x)
+            assert out.shape == shape
+            assert np.array_equal(out, b1(t) + b2(t) * x + b12(t) * x ** 2)
+
+
 def integrate_riccati(x_init, t0, t1, n):
     rhs = riccati_rhs(lambda t: 1.0, lambda t: t, math.sin)
     h = (t1 - t0) / n

@@ -1,6 +1,10 @@
+from pathlib import Path
+
 import pytest
 
 from liesolve.cli import main
+
+CLI_REFS = Path(__file__).resolve().parents[1] / "bench" / "cli_refs"
 
 
 def read_csv(path):
@@ -193,3 +197,20 @@ def test_csv_format_is_semicolon_and_17g(tmp_path):
 def test_bad_step_size_exits(tmp_path):
     with pytest.raises(SystemExit):
         main(["ck", "--h", "0.3", "--out", str(tmp_path / "x.csv")])
+
+
+def test_rk4_baseline_files_match_the_frozen_references(tmp_path, monkeypatch):
+    # the RK4 baseline's bits at default arguments, as bench/cli_refs holds them
+    monkeypatch.chdir(tmp_path)
+    assert main(["limit-cycle"]) == 0
+    assert main(["riccati-check"]) == 0
+    for name in ("limit_cycle_rk4_h0.02.csv", "limit_cycle_rk4_h0.01.csv", "riccati_check.csv"):
+        assert (tmp_path / name).read_bytes() == (CLI_REFS / name).read_bytes(), name
+
+
+def test_ck_rejects_a_non_finite_x0(tmp_path, capsys):
+    out = tmp_path / "ck.csv"
+    assert main(["ck", "--x0", "1,nan,1", "--steps", "10", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: initial point x0 must be finite, got x0=[1.0, nan, 1.0]\n"
+    assert not out.exists()

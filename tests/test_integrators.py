@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from liesolve.algebra import AlgebraBasis, CoefficientSet
-from liesolve.benchmarks import ck_benchmark_coefficients
-from liesolve.ckspaces import CKParams, ck_generators
+from liesolve.benchmarks import ck_benchmark_coefficients, limit_cycle_system, riccati_rhs
+from liesolve.ckspaces import CKParams, ck_generators, ck_lie_system
 from liesolve.integrators import (
     _RK4_WEIGHTS,
+    GEOMETRIC_METHODS,
     NonFiniteStateError,
     StepperConfig,
     integrate_group,
@@ -217,6 +218,23 @@ def test_integrate_group_reports_exp_overflow_step():
         assert len(err.partial.increments) == 0
 
 
+@pytest.mark.parametrize("method", GEOMETRIC_METHODS)
+def test_integrate_group_reports_increment_overflow(method):
+    # w = h b = 10 * 1e308 overflows before exp(W_0) is formed: the typed
+    # step error, not mat_exp's ValueError for non-finite entries
+    z = lambda t: 0.0
+    coeffs = CoefficientSet(funcs=(lambda t: 1e308, z, z), d1=(z,) * 3, d2=(z,) * 3)
+    basis = ck_generators(CKParams(0.8, -0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteStateError, match=r"at step 0 \(t=0\)") as excinfo:
+            integrate_group(basis, coeffs, StepperConfig(method), 0.0, 10.0, 1)
+    err = excinfo.value
+    assert err.step == 0
+    assert len(err.partial.times) == len(err.partial.elements) == 1
+    assert len(err.partial.increments) == 0
+
+
 def test_integrate_group_matches_fine_reference(ck_reference):
     ck = CKParams(0.8, -0.5)
     basis = ck_generators(ck)
@@ -253,6 +271,70 @@ def test_rk4_direct_step_linear_system_columnwise():
     poly = np.eye(3) + h * a + (h * a) @ (h * a) / 2 + np.linalg.matrix_power(h * a, 3) / 6 \
         + np.linalg.matrix_power(h * a, 4) / 24
     assert np.allclose(full, poly, atol=1e-12)
+
+
+def rk4_numpy(f, t, h, x):
+    """The RK4 update written out on arrays: the reference that the float
+    step must match to the bit."""
+    x = np.asarray(x, dtype=float)
+    k1 = np.asarray(f(t, x), dtype=float)
+    k2 = np.asarray(f(t + 0.5 * h, x + 0.5 * h * k1), dtype=float)
+    k3 = np.asarray(f(t + 0.5 * h, x + 0.5 * h * k2), dtype=float)
+    k4 = np.asarray(f(t + h, x + h * k3), dtype=float)
+    return x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _rk4_cases():
+    """(name, rhs, t, h, x): every library rhs and the rhs shapes the step
+    accepts."""
+    coeffs = ck_benchmark_coefficients()
+    cases = [
+        (f"ck{kappa}", ck_lie_system(CKParams(*kappa), coeffs).rhs, 3.0, 0.1, [1.0, 0.3, -0.7])
+        for kappa in ((0.8, 0.5), (0.0, 0.0), (-0.7, -1.3))
+    ]
+    lc = limit_cycle_system(lambda t: 1.0 + t * t, math.exp).rhs
+    riccati = riccati_rhs(lambda t: 1.0, lambda t: t, math.sin)
+    a = np.random.default_rng(5).normal(size=(2, 3))
+    return cases + [
+        ("limit-cycle", lc, 0.2, 0.02, [0.3, 0.9]),
+        ("riccati", riccati, 0.1, 1e-3, [0.0, 1.0, -1.0, 0.5]),
+        ("2x3", lambda t, x: a * x + t, 0.1, 0.05, np.arange(6.0).reshape(2, 3) / 7.0),
+        ("list", lambda t, x: [x[1], -x[0] * t], 0.3, 0.1, [1.0, 2.0]),
+        ("own-input", lambda t, x: x, 0.0, 0.1, [1.0, -2.0, 1.0 / 3.0]),
+    ]
+
+
+@pytest.mark.parametrize("name, f, t, h, x", _rk4_cases(), ids=[c[0] for c in _rk4_cases()])
+def test_rk4_direct_step_is_the_array_formula_to_the_bit(name, f, t, h, x):
+    expected = rk4_numpy(f, t, h, x)
+    out = rk4_direct_step(f, t, h, x)
+    assert out.dtype == np.float64 and out.shape == expected.shape
+    assert np.array_equal(out, expected)
+
+
+def test_rk4_direct_step_hands_rhs_arrays_of_the_state_shape():
+    seen = []
+
+    def f(t, y):
+        seen.append((type(y), y.dtype, y.shape))
+        return np.ones(6)  # any array-like of the state's size
+
+    rk4_direct_step(f, 0.0, 0.1, np.zeros((2, 3)))
+    assert seen == [(np.ndarray, np.float64, (2, 3))] * 4
+
+
+def test_rk4_direct_step_rejects_an_rhs_of_another_size():
+    # no output is broadcast or cut to the state's size
+    for out in ([1.0], np.ones(4), 2.0):
+        with pytest.raises(ValueError, match=r"rhs returned \d values for a state of size 3"):
+            rk4_direct_step(lambda t, x: out, 0.0, 0.1, np.ones(3))
+
+
+def test_rk4_direct_step_scalar_rhs_on_a_one_element_state():
+    x = np.array([1.5])
+    out = rk4_direct_step(lambda t, x: -x[0], 0.0, 0.1, x)
+    assert out.shape == (1,)
+    assert np.array_equal(out, rk4_numpy(lambda t, x: -x[0], 0.0, 0.1, x))
 
 
 def relative_error(got, expected):

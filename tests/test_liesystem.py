@@ -204,6 +204,41 @@ def test_solve_checks_the_initial_point_dimension():
             solve(system, x0, 3.0, 4.0, 2, StepperConfig("magnus2"))
 
 
+def test_solvers_reject_a_non_finite_initial_point():
+    # rejected where x0 enters, before any step: not blamed on step 0
+    _, system = ck_setup()
+    runs = [lambda x0: solve_direct_rk4(system, x0, 3.0, 4.0, 10)]
+    runs += [
+        lambda x0, m=m: solve(system, x0, 3.0, 4.0, 10, StepperConfig(m))
+        for m in GEOMETRIC_METHODS
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in runs:
+            for bad in (math.nan, math.inf, -math.inf):
+                expected = rf"^initial point x0 must be finite, got x0=\[1.0, {bad}, 1.0\]$"
+                with pytest.raises(ValueError, match=expected) as excinfo:
+                    run([1.0, bad, 1.0])
+                assert not isinstance(excinfo.value, NonFiniteStateError)
+
+
+@pytest.mark.parametrize("method", GEOMETRIC_METHODS)
+def test_solve_reports_increment_overflow(method):
+    # w = h b = 10 * 1e308 overflows: a typed step error with the partial
+    # trajectory, as when exp(W_k) overflows
+    z = lambda t: 0.0
+    coeffs = CoefficientSet(funcs=(lambda t: 1e308, z, z), d1=(z,) * 3, d2=(z,) * 3)
+    system = ck_lie_system(CKParams(0.8, -0.5), coeffs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteStateError, match=r"at step 0 \(t=0\)") as excinfo:
+            solve(system, [1.0, 1.0, 1.0], 0.0, 10.0, 1, StepperConfig(method))
+    err = excinfo.value
+    assert err.step == 0
+    assert err.partial.points.tolist() == [[1.0, 1.0, 1.0]]
+    assert len(err.partial.group.elements) == 1
+
+
 def test_rk4_reports_blowup_step():
     system = limit_cycle_system(lambda t: 1.0 + t * t, math.exp)
     with pytest.raises(FloatingPointError) as excinfo:

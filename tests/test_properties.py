@@ -1,6 +1,7 @@
 """Property-based tests of the coordinate bracket and the coordinate
 dexp-inverse, over every coordinate_system basis (CK with kappa < 0, = 0,
-> 0 and mixed signs, sl(2) and the abelian diagonal basis)."""
+> 0 and mixed signs, sl(2) and the abelian diagonal basis), and of the group
+laws of the exponential on the CK algebras in all nine sign classes."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from liesolve.algebra import MAX_DEXPINV_ORDER, _dexpinv_series, dexpinv
-from liesolve.matrixcore import commutator
+from liesolve.ckspaces import CKParams, ck_bilinear_form, ck_generators
+from liesolve.matrixcore import commutator, mat_exp
 
 # The coordinate_system fixture only builds immutable bases, so sharing it
 # across the examples of one test is safe; fixed examples keep runs
@@ -80,3 +82,37 @@ def test_coordinate_dexpinv_matches_matrix_dexpinv(coordinate_system, data, orde
     expected = dexpinv(m_theta, m_v, order)
     scale = _norm(m_v) * (1.0 + 2.0 * _norm(m_theta)) ** order
     assert _norm(got - expected) <= 1e-13 * scale
+
+
+# (sign of kappa1, sign of kappa2): the nine CK sign classes
+_SIGN_CLASSES = [(s1, s2) for s1 in (-1, 0, 1) for s2 in (-1, 0, 1)]
+
+# |kappa| of a nonzero curvature, and coordinates of an algebra element
+_curvature = st.floats(1e-3, 4.0)
+_unit_box = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)
+
+
+def _ck_element(signs, mags, w):
+    """(CKParams, W): the CK algebra of the sign class and the element of
+    the coordinates w, scaled into the unit ball."""
+    ck = CKParams(*(s * m for s, m in zip(signs, mags)))
+    w = np.array(w) / max(1.0, _norm(w))
+    return ck, ck_generators(ck).element(w)
+
+
+@pytest.mark.parametrize("signs", _SIGN_CLASSES)
+@properties
+@given(mags=st.tuples(_curvature, _curvature), w=_unit_box)
+def test_exp_of_minus_a_inverts_exp_of_a(signs, mags, w):
+    _, a = _ck_element(signs, mags, w)
+    e, e_inv = mat_exp(a), mat_exp(-a)
+    assert _norm(e @ e_inv - np.eye(3)) <= 1e-14 * _norm(e) * _norm(e_inv)
+
+
+@pytest.mark.parametrize("signs", _SIGN_CLASSES)
+@properties
+@given(mags=st.tuples(_curvature, _curvature), w=_unit_box)
+def test_exp_preserves_the_ck_bilinear_form(signs, mags, w):
+    ck, a = _ck_element(signs, mags, w)
+    g, ik = mat_exp(a), ck_bilinear_form(ck)
+    assert _norm(g.T @ ik @ g - ik) <= 1e-14 * _norm(g) ** 2 * _norm(ik)
