@@ -53,6 +53,9 @@ def _sibling(path: Path, tag: str) -> Path:
 
 def _steps_from_args(args, default_h: float) -> int:
     span = args.t1 - args.t0
+    if not math.isfinite(span):  # a t0 or t1 that is not finite, or a span that overflows
+        raise SystemExit(f"error: --t0 and --t1 must be finite, with a finite span, "
+                         f"got [{args.t0}, {args.t1}]")
     if span <= 0:
         raise SystemExit("error: need t1 > t0")
     if args.steps is not None:
@@ -60,6 +63,10 @@ def _steps_from_args(args, default_h: float) -> int:
             raise SystemExit("error: need at least one step")
         return args.steps
     h = args.h if args.h is not None else default_h
+    if not (math.isfinite(h) and h > 0):
+        raise SystemExit(f"error: --h must be a finite number > 0, got {h}")
+    if not math.isfinite(span / h):  # a subnormal h
+        raise SystemExit(f"error: step size {h} gives too many steps on [{args.t0}, {args.t1}]")
     n = round(span / h)
     if n < 1 or abs(n * h - span) > 1e-9 * max(1.0, span):
         raise SystemExit(f"error: step size {h} does not tile [{args.t0}, {args.t1}]")

@@ -160,6 +160,12 @@ def _time_grid(t0: float, t1: float, n_steps: int):
     return h, t0 + h * np.arange(n_steps + 1)
 
 
+def _non_finite(group: GroupTrajectory, k: int, t: float, what: str) -> NonFiniteStateError:
+    """The error of a step k that broke down: group is cut to t_0..t_k."""
+    group._cut(k)
+    return NonFiniteStateError(f"non-finite {what} at step {k} (t={t:g})", step=k, partial=group)
+
+
 def _group_steps(
     basis: AlgebraBasis, coeffs: CoefficientSet, config: StepperConfig, h: float,
     group: GroupTrajectory,
@@ -168,8 +174,10 @@ def _group_steps(
     writes the coordinates w_k of W_k and Y_{k+1} = E_k Y_k into group, then
     yields E_k = exp(W_k).
 
-    A W_k, E_k or Y_{k+1} that is not finite raises NonFiniteStateError
-    with step=k and the group, cut to t_0..t_k."""
+    A W_k, E_k or Y_{k+1} that is not finite, or an increment that
+    overflows a Python float (OverflowError), raises NonFiniteStateError
+    with step=k and the group, cut to t_0..t_k.  A non-finite coefficient
+    keeps its ValueError."""
     # the kernels are looked up here, as module globals, when the solve
     # starts: a kernel rebound in this module is the one that steps
     increment = {
@@ -180,7 +188,10 @@ def _group_steps(
     # the increments and the coefficients get Python floats: numpy scalars
     # make their arithmetic slower
     for k, t in enumerate(group.times[:-1].tolist()):
-        w = increment(t, h)
+        try:
+            w = increment(t, h)
+        except OverflowError as err:  # magnus4's h ** 3 for h >~ 5.6e102
+            raise _non_finite(group, k, t, "increment") from err
         try:
             e = mat_exp(basis.element(w))
             np.matmul(e, group.elements[k], out=group.elements[k + 1])
@@ -188,10 +199,7 @@ def _group_steps(
                 raise FloatingPointError("Y overflows")
         except (FloatingPointError, ValueError) as err:
             # mat_exp raises ValueError for a W_k whose increment overflowed
-            group._cut(k)
-            raise NonFiniteStateError(
-                f"non-finite group element at step {k} (t={t:g})", step=k, partial=group
-            ) from err
+            raise _non_finite(group, k, t, "group element") from err
         group.increments[k] = w
         yield e
 

@@ -7,6 +7,7 @@ machinery.
 """
 
 import bisect
+import functools
 import math
 
 import numpy as np
@@ -17,6 +18,19 @@ TAYLOR_ORDER = 18
 _DEGREE_BOUNDS = [
     (2.0 ** -56 * math.factorial(m + 1)) ** (1.0 / (m + 1)) for m in range(1, TAYLOR_ORDER + 1)
 ]
+# 1 / j! for j <= TAYLOR_ORDER, each correctly rounded (j! is exact in a float)
+_INV_FACTORIALS = [1.0 / math.factorial(j) for j in range(TAYLOR_ORDER + 1)]
+
+
+@functools.cache
+def _eye_terms(n: int) -> tuple:
+    """The identity terms I / j! of the n x n Taylor polynomial, j <=
+    TAYLOR_ORDER, built once per size.  Read-only: mat_exp only adds them
+    into arrays of its own."""
+    terms = tuple(np.eye(n) * c for c in _INV_FACTORIALS)
+    for term in terms:
+        term.flags.writeable = False
+    return terms
 
 
 class DimensionMismatchError(ValueError):
@@ -37,10 +51,13 @@ def mat_exp(a: np.ndarray) -> np.ndarray:
 
     A diagonal A (A = 0 included) gives exactly diag(exp(a_ii)).  Otherwise
     s = max(0, ceil(log2(||A||_F)) + 2) squarings follow a Taylor polynomial
-    in B = A / 2^s, evaluated by Horner at the smallest degree
-    m <= TAYLOR_ORDER whose tail bound ||B||^(m+1) / (m+1)! is <= 2^-56
-    (m = 6 at ||B|| = 6e-3, m = 12 at the largest ||B||, 1/4).  Relative
-    error <= 1e-13 in Frobenius norm for ||A||_F <= 10.
+    in B = A / 2^s of the smallest degree m <= TAYLOR_ORDER whose tail
+    bound ||B||^(m+1) / (m+1)! is <= 2^-56 (m = 6 at ||B|| = 6e-3, m = 12
+    at the largest ||B||, 1/4).  The polynomial sum_{j<=m} B^j / j! is
+    evaluated by Horner in coefficient form, acc = B acc + I/j!, one
+    product and one in-place sum per degree; the terms I/j! are built once
+    per size n.  Relative error <= 1e-13 in Frobenius norm for
+    ||A||_F <= 10.
 
     Overflow raises FloatingPointError naming ||A||_F, without a
     RuntimeWarning: on the diagonal path when some exp(a_ii) overflows, on
@@ -70,10 +87,14 @@ def mat_exp(a: np.ndarray) -> np.ndarray:
         scale = math.ldexp(1.0, -s)  # 2.0 ** s overflows for s > 1023
         b = a * scale if s else a
         m = min(bisect.bisect_left(_DEGREE_BOUNDS, nrm * scale) + 1, TAYLOR_ORDER)
-        eye = np.eye(n)
-        acc = eye + b / m
-        for k in range(m - 1, 0, -1):
-            acc = eye + b @ acc / k
+        # two numpy calls per degree and no np.eye per call: at 3 x 3 a
+        # numpy call costs more than its arithmetic
+        eye_terms = _eye_terms(n)
+        acc = b * _INV_FACTORIALS[m]
+        acc += eye_terms[m - 1]
+        for j in range(m - 2, -1, -1):
+            acc = b @ acc
+            acc += eye_terms[j]
         if not s:
             return acc
         with np.errstate(over="ignore", invalid="ignore"):

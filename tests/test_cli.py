@@ -199,6 +199,45 @@ def test_bad_step_size_exits(tmp_path):
         main(["ck", "--h", "0.3", "--out", str(tmp_path / "x.csv")])
 
 
+# Each subcommand with a step option, and a run that reaches _steps_from_args
+_STEP_COMMANDS = {
+    "ck": ["ck"],
+    "convergence": ["convergence"],
+    "limit-cycle": ["limit-cycle", "--method", "rk4"],
+    "riccati-check": ["riccati-check"],
+}
+_FINITE_T = r"--t0 and --t1 must be finite, with a finite span, got "
+_BAD_STEP_ARGS = {
+    "h-zero": (["--h", "0"], r"--h must be a finite number > 0, got 0.0"),
+    "h-negative": (["--h", "-0.1"], r"--h must be a finite number > 0, got -0.1"),
+    "h-nan": (["--h", "nan"], r"--h must be a finite number > 0, got nan"),
+    "h-inf": (["--h", "inf"], r"--h must be a finite number > 0, got inf"),
+    "h-subnormal": (["--h", "5e-324"], r"step size 5e-324 gives too many steps on \["),
+    "t1-inf": (["--t1", "inf"], _FINITE_T + r"\[.*, inf\]"),
+    "t0-nan": (["--t0", "nan"], _FINITE_T + r"\[nan, "),
+    "span-overflows": (["--t0=-1e308", "--t1", "1e308"], _FINITE_T + r"\[-1e\+308, 1e\+308\]"),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_STEP_ARGS)
+@pytest.mark.parametrize("command", _STEP_COMMANDS)
+def test_step_arguments_are_checked_where_they_enter(tmp_path, command, case):
+    # a bad --h, --t0 or --t1 exits with an error line before any solve,
+    # where a ZeroDivisionError, OverflowError or "cannot convert float NaN
+    # to integer" ended the run before
+    bad, message = _BAD_STEP_ARGS[case]
+    argv = [*_STEP_COMMANDS[command], *bad, "--out", str(tmp_path / "out.csv")]
+    with pytest.raises(SystemExit, match=rf"^error: {message}"):
+        main(argv)
+    assert not list(tmp_path.iterdir())
+
+
+def test_limit_cycle_default_pairs_reject_a_non_finite_t1(tmp_path):
+    with pytest.raises(SystemExit, match=r"^error: --t0 and --t1 must be finite"):
+        main(["limit-cycle", "--t1", "inf", "--out", str(tmp_path / "lc.csv")])
+    assert not list(tmp_path.iterdir())
+
+
 def test_rk4_baseline_files_match_the_frozen_references(tmp_path, monkeypatch):
     # the RK4 baseline's bits at default arguments, as bench/cli_refs holds them
     monkeypatch.chdir(tmp_path)

@@ -235,6 +235,36 @@ def test_integrate_group_reports_increment_overflow(method):
     assert len(err.partial.increments) == 0
 
 
+def test_integrate_group_reports_magnus4_h_cubed_overflow():
+    # magnus4's h ** 3 overflows a Python float (OverflowError) for
+    # h = 1e103: the typed step error with the cut partial, where magnus2
+    # and rkmk step on, since w = h b stays finite for b = (1e-200, 0, 0)
+    z = lambda t: 0.0
+    coeffs = CoefficientSet(funcs=(lambda t: 1e-200, z, z), d1=(z,) * 3, d2=(z,) * 3)
+    basis = ck_generators(CKParams(0.8, -0.5))
+    with pytest.raises(NonFiniteStateError, match=r"^non-finite increment at step 0 \(t=0\)$") as excinfo:
+        integrate_group(basis, coeffs, StepperConfig("magnus4"), 0.0, 1e103, 1)
+    err = excinfo.value
+    assert err.step == 0
+    assert isinstance(err.__cause__, OverflowError)
+    assert len(err.partial.times) == len(err.partial.elements) == 1
+    assert len(err.partial.increments) == 0
+    for method in ("magnus2", "rkmk"):
+        group = integrate_group(basis, coeffs, StepperConfig(method), 0.0, 1e103, 1)
+        assert np.isfinite(group.elements).all()
+
+
+@pytest.mark.parametrize("method", GEOMETRIC_METHODS)
+def test_integrate_group_non_finite_coefficient_keeps_value_error(method):
+    # only the increment's OverflowError becomes the step error
+    z = lambda t: 0.0
+    coeffs = CoefficientSet(funcs=(lambda t: math.nan, z, z), d1=(z,) * 3, d2=(z,) * 3)
+    basis = ck_generators(CKParams(0.8, -0.5))
+    with pytest.raises(ValueError, match="non-finite coefficient value") as excinfo:
+        integrate_group(basis, coeffs, StepperConfig(method), 0.0, 1.0, 1)
+    assert not isinstance(excinfo.value, NonFiniteStateError)
+
+
 def test_integrate_group_matches_fine_reference(ck_reference):
     ck = CKParams(0.8, -0.5)
     basis = ck_generators(ck)

@@ -239,6 +239,23 @@ def test_solve_reports_increment_overflow(method):
     assert len(err.partial.group.elements) == 1
 
 
+def test_solve_reports_magnus4_h_cubed_overflow():
+    # h = 1e103 overflows magnus4's h ** 3 on a Python float: a typed step
+    # error with the partial trajectory, not a bare OverflowError
+    z = lambda t: 0.0
+    coeffs = CoefficientSet(funcs=(lambda t: 1e-200, z, z), d1=(z,) * 3, d2=(z,) * 3)
+    system = ck_lie_system(CKParams(0.8, -0.5), coeffs)
+    with pytest.raises(NonFiniteStateError, match=r"^non-finite increment at step 0 \(t=0\)$") as excinfo:
+        solve(system, [1.0, 1.0, 1.0], 0.0, 1e103, 1, StepperConfig("magnus4"))
+    err = excinfo.value
+    assert err.step == 0
+    assert isinstance(err.__cause__, OverflowError)
+    assert err.partial.times.tolist() == [0.0]
+    assert err.partial.points.tolist() == [[1.0, 1.0, 1.0]]
+    assert len(err.partial.group.elements) == 1
+    assert len(err.partial.group.increments) == 0
+
+
 def test_rk4_reports_blowup_step():
     system = limit_cycle_system(lambda t: 1.0 + t * t, math.exp)
     with pytest.raises(FloatingPointError) as excinfo:

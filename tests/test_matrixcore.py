@@ -143,6 +143,56 @@ def test_mat_exp_matches_mpmath(n, norm):
             assert err <= 1e-13
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 16])
+@pytest.mark.parametrize("norm", [1e-9, 1e-4, 6e-3, 0.05, 0.25])
+def test_mat_exp_taylor_coefficients_on_a_shift_matrix(n, norm):
+    # B = c N with N the shift matrix: entry (0, j) of the polynomial is
+    # c^j / j! alone, so every coefficient up to the degree m shows, the top
+    # one 1/m! included (its term is below the tolerance of the accuracy
+    # tests).  ||B||_F <= 1/4 keeps s = 0; the terms past m are 0 and, by
+    # the degree rule, below 2^-56.
+    c = norm / math.sqrt(n - 1)
+    got = mat_exp(c * np.eye(n, k=1))
+    terms = [c ** j / math.factorial(j) for j in range(n)]
+    kept = [j for j in range(n) if got[0, j] != 0.0]
+    assert kept == list(range(len(kept)))
+    for j, term in enumerate(terms):
+        if j in kept:
+            assert got[0, j] == pytest.approx(term, rel=1e-14, abs=0.0)
+        else:
+            assert term <= 2.0 ** -56
+    assert np.array_equal(got, np.triu(got))
+    assert all(np.array_equal(np.diagonal(got, j), np.full(n - j, got[0, j])) for j in range(n))
+
+
+def test_mat_exp_identity_terms_do_not_leak_into_results():
+    # the identity terms I / j! are built once per size and shared by every
+    # call: a result mutated in place, and calls interleaving sizes and
+    # degrees, leave later results unchanged
+    rng = np.random.default_rng(5)
+    cases = []
+    for n in (2, 3, 4, 16):
+        for norm in (1e-9, 6e-3, 0.2, 1.6):
+            a = rng.normal(size=(n, n))
+            cases.append(a * (norm / np.linalg.norm(a)))
+    first = [mat_exp(a).copy() for a in cases]
+    for _ in range(2):
+        for a, expected in zip(cases[::-1], first[::-1]):
+            got = mat_exp(a)
+            assert got.flags.writeable and got.flags.owndata
+            assert np.array_equal(got, expected)
+            got[...] = math.nan
+    for a, expected in zip(cases, first):
+        assert np.array_equal(mat_exp(a), expected)
+        # and the shared terms were right to begin with
+        ref = np.eye(len(a))
+        term = np.eye(len(a))
+        for j in range(1, 30):
+            term = term @ a / j
+            ref = ref + term
+        assert np.linalg.norm(expected - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
 # The central-difference stencil lives in CoefficientSet: b' on five points,
 # b'' on three, with step h = max(1e-4, 1e-4 |t|).  A matrix curve c(t) M is
 # the coefficient set with entries c(t) M_ij.
