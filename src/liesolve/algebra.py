@@ -61,6 +61,10 @@ class AlgebraBasis:
                 raise ValueError("all generators must share the same square shape")
         if c.shape != (r, r, r):
             raise ValueError(f"structure constants must have shape ({r},{r},{r})")
+        v = np.stack([g.ravel() for g in gens])
+        # an inf constant passes the checks below: inf * 0 = nan, and nan > tol is False
+        if not (np.isfinite(v).all() and np.isfinite(c).all()):
+            raise ValueError("generators and structure constants must be finite")
         if not np.allclose(c, -np.transpose(c, (1, 0, 2)), atol=STRUCTURE_TOL):
             raise ValueError("structure constants are not antisymmetric")
         for a in range(r):
@@ -71,7 +75,6 @@ class AlgebraBasis:
                     raise ValueError(
                         f"structure constants do not reproduce [M_{a}, M_{b}]"
                     )
-        v = np.stack([g.ravel() for g in gens])
         if np.linalg.matrix_rank(v, tol=1e-12 * max(1.0, np.abs(v).max())) < r:
             raise ValueError("generators are linearly dependent")
         object.__setattr__(self, "_flat_generators", v)
@@ -105,6 +108,8 @@ class AlgebraBasis:
         gens = [np.asarray(g, dtype=float) for g in generators]
         r = len(gens)
         v = np.stack([g.ravel() for g in gens]).T  # (n^2, r)
+        if not np.isfinite(v).all():
+            raise ValueError("generators must be finite")
         c = np.zeros((r, r, r))
         for a in range(r):
             for b in range(r):

@@ -8,14 +8,13 @@ float lists, with brackets through the nonzero structure constants
 one place where w becomes the group element exp(AlgebraBasis.element(w))."""
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterator, Optional
 
 import numpy as np
 
 from .algebra import (
-    MAX_DEXPINV_ORDER,
     AlgebraBasis,
     CoefficientSet,
     _check_arity,
@@ -44,54 +43,40 @@ class NonFiniteStateError(_StepError, FloatingPointError):
 
 @dataclass(frozen=True)
 class StepperConfig:
-    """Method selection for the group-side stepper: magnus2, magnus4 or rkmk.
-
-    rkmk is RKMK on the classical RK4 tableau with the dexp-inverse series
-    truncated at truncation_order j, 2 <= j <= 10; the step size itself
-    comes from the (t0, t1, N) split.
-    """
+    """Method selection for the group-side stepper: magnus2, magnus4 or rkmk
+    (RKMK on the classical RK4 tableau); the step size itself comes from the
+    (t0, t1, N) split."""
 
     method: str
-    truncation_order: int = 2
 
     def __post_init__(self):
         if self.method not in GEOMETRIC_METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        # RKMK runs the order-4 RK4 tableau, so its dexp-inverse truncation
-        # needs j >= p - 2 = 2, and at most MAX_DEXPINV_ORDER
-        j = self.truncation_order
-        if self.method == "rkmk" and not 2 <= j <= MAX_DEXPINV_ORDER:
-            raise ValueError(f"RKMK truncation order must be in [2, {MAX_DEXPINV_ORDER}], got {j}")
 
 
 @dataclass
 class GroupTrajectory:
-    """Times t_k, group elements Y_k and algebra increments W_k, with
-    Y_{k+1} = exp(W_k) Y_k.  Over N steps of an n x n group with an
-    r-dimensional algebra, elements is an (N+1, n, n) array and increments
-    an (N, r) array of the coordinates of W_k."""
+    """Times t_k and group elements Y_k, with Y_{k+1} = exp(W_k) Y_k.  Over
+    N steps of an n x n group, elements is an (N+1, n, n) array."""
 
     times: np.ndarray
     elements: np.ndarray
-    increments: np.ndarray
 
     def _cut(self, k: int) -> None:
-        """Cut in place to t_0..t_k: k+1 elements and k increments, copied out
-        of the full-length buffers so that nothing still holds those.  A no-op
-        when the trajectory has k increments already."""
-        if len(self.increments) > k:
+        """Cut in place to t_0..t_k, copied out of the full-length buffers
+        so that nothing still holds those.  A no-op when the trajectory has
+        k+1 elements already."""
+        if len(self.elements) > k + 1:
             self.times = self.times[: k + 1].copy()
             self.elements = self.elements[: k + 1].copy()
-            self.increments = self.increments[:k].copy()
 
 
 def _new_group(times: np.ndarray, basis: AlgebraBasis) -> GroupTrajectory:
     """A group trajectory over times with Y_0 = I and its other rows
     allocated, to be filled by _group_steps."""
-    n_steps = len(times) - 1
-    elements = np.empty((n_steps + 1, basis.n, basis.n))
+    elements = np.empty((len(times), basis.n, basis.n))
     elements[0] = np.eye(basis.n)
-    return GroupTrajectory(times, elements, np.empty((n_steps, basis.r)))
+    return GroupTrajectory(times, elements)
 
 
 def magnus2_increment(
@@ -121,7 +106,7 @@ _RK4_WEIGHTS = np.array([1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0])
 
 
 def rkmk_increment(
-    basis: AlgebraBasis, coeffs: CoefficientSet, truncation_order: int, t_k: float, h: float
+    basis: AlgebraBasis, coeffs: CoefficientSet, t_k: float, h: float
 ) -> np.ndarray:
     """RKMK on the classical RK4 tableau: F_1 = b(t_k), then
     F_l = dexpinv(T_l, b(t_k + c_l h)) with T_l = h F_1/2, h F_2/2, h F_3
@@ -129,12 +114,12 @@ def rkmk_increment(
 
     Runs its stages on coordinate lists of Python floats, with
     dexpinv(T, v) = sum_i (B_i / i!) ad_T^i (v) through AlgebraBasis.bracket,
-    and evaluates b once each at t_k, t_k + h/2 and t_k + h.  Neither input
-    is checked here: h > 0 comes from _time_grid, and
-    2 <= truncation_order <= MAX_DEXPINV_ORDER from StepperConfig."""
+    and evaluates b once each at t_k, t_k + h/2 and t_k + h.  h > 0 is not
+    checked here: it comes from _time_grid."""
 
     def stage(theta: list, b: list) -> list:
-        return _dexpinv_series(lambda v: basis.bracket(theta, v), b, truncation_order)
+        # truncated at 2 = p - 2: all that an order-p = 4 tableau needs
+        return _dexpinv_series(lambda v: basis.bracket(theta, v), b, 2)
 
     f1 = _floats(coeffs.funcs, t_k, "value")
     b_half = _floats(coeffs.funcs, t_k + 0.5 * h, "value")
@@ -148,12 +133,17 @@ def rkmk_increment(
 def _time_grid(t0: float, t1: float, n_steps: int):
     """(h, times) of a fixed-step run over [t0, t1] in n_steps steps; h is a
     Python float whatever the type of t0 and t1.  Endpoints that are not
-    finite, or whose span overflows, raise ValueError before any grid."""
+    finite, or whose span overflows, raise ValueError before any grid, and
+    an n_steps that is not an integer raises TypeError."""
     span = float(t1) - float(t0)  # Python floats: inf or nan without a warning
     if not math.isfinite(span):
         raise ValueError(f"t0 and t1 must be finite, got t0={t0}, t1={t1}, t1 - t0={span}")
     if t1 <= t0:
         raise ValueError("t1 must exceed t0")
+    try:
+        n_steps = operator.index(n_steps)  # 2.5 steps would overshoot t1
+    except TypeError:
+        raise TypeError(f"n_steps must be an integer, got {n_steps!r}") from None
     if n_steps < 1:
         raise ValueError("need at least one step")
     h = span / n_steps
@@ -171,8 +161,7 @@ def _group_steps(
     group: GroupTrajectory,
 ) -> Iterator[np.ndarray]:
     """Steps group (from _new_group) from Y_0 over its time grid.  Step k
-    writes the coordinates w_k of W_k and Y_{k+1} = E_k Y_k into group, then
-    yields E_k = exp(W_k).
+    writes Y_{k+1} = E_k Y_k into group, then yields E_k = exp(W_k).
 
     A W_k, E_k or Y_{k+1} that is not finite, or an increment that
     overflows a Python float (OverflowError), raises NonFiniteStateError
@@ -181,15 +170,15 @@ def _group_steps(
     # the kernels are looked up here, as module globals, when the solve
     # starts: a kernel rebound in this module is the one that steps
     increment = {
-        "magnus2": partial(magnus2_increment, basis, coeffs),
-        "magnus4": partial(magnus4_increment, basis, coeffs),
-        "rkmk": partial(rkmk_increment, basis, coeffs, config.truncation_order),
+        "magnus2": magnus2_increment,
+        "magnus4": magnus4_increment,
+        "rkmk": rkmk_increment,
     }[config.method]
     # the increments and the coefficients get Python floats: numpy scalars
     # make their arithmetic slower
     for k, t in enumerate(group.times[:-1].tolist()):
         try:
-            w = increment(t, h)
+            w = increment(basis, coeffs, t, h)
         except OverflowError as err:  # magnus4's h ** 3 for h >~ 5.6e102
             raise _non_finite(group, k, t, "increment") from err
         try:
@@ -200,7 +189,6 @@ def _group_steps(
         except (FloatingPointError, ValueError) as err:
             # mat_exp raises ValueError for a W_k whose increment overflowed
             raise _non_finite(group, k, t, "group element") from err
-        group.increments[k] = w
         yield e
 
 

@@ -79,6 +79,8 @@ class LieSystemSpec:
 
     def __post_init__(self):
         _check_arity(self.basis, self.coeffs)
+        if not self.action.flows and self.dim != self.basis.n:
+            raise ValueError(f"the linear action needs dim = {self.basis.n}, got {self.dim}")
 
 
 @dataclass
@@ -182,6 +184,8 @@ def global_error(traj: Trajectory, reference: Trajectory) -> float:
     trajectory's grid (its step count must be a multiple)."""
     n = len(traj.times) - 1
     n_ref = len(reference.times) - 1
+    if min(n, n_ref) < 1:
+        raise ValueError("trajectory and reference need at least one step each")
     if n_ref % n != 0:
         raise ValueError("reference grid is not a refinement of the trajectory grid")
     stride = n_ref // n
@@ -198,9 +202,9 @@ def estimate_order(hs: Sequence[float], errors: Sequence[float]) -> float:
     errors = np.asarray(errors, dtype=float)
     if len(hs) < 2 or len(hs) != len(errors):
         raise ValueError("need at least two (h, error) pairs")
-    if np.any(hs <= 0) or np.any(np.diff(hs) >= 0):
-        raise ValueError("h values must be positive and strictly decreasing")
-    if np.any(errors <= 0):
-        raise ValueError("errors must be positive")
+    if not np.all(np.isfinite(hs) & (hs > 0)) or np.any(np.diff(hs) >= 0):
+        raise ValueError("h values must be finite, positive and strictly decreasing")
+    if not np.all(np.isfinite(errors) & (errors > 0)):
+        raise ValueError("errors must be finite and positive")
     slope = np.polyfit(np.log(hs), np.log(errors), 1)[0]
     return float(slope)

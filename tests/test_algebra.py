@@ -65,6 +65,26 @@ def test_basis_rejects_dependent_generators():
         AlgebraBasis((m, 2.0 * m), np.zeros((2, 2, 2)))
 
 
+def test_basis_rejects_non_finite_generators_and_constants(capfd):
+    # an antisymmetric inf constant passed both structure checks (inf * 0 is
+    # nan, and nan > tol is False) and made bracket return nan; a nan
+    # generator failed in LAPACK's SVD and printed to stderr
+    basis = ck_generators(CKParams(0.8, -0.5))
+    gens, c = basis.generators, basis.structure_constants
+    inf_c = np.zeros((3, 3, 3))
+    inf_c[0, 1, 2], inf_c[1, 0, 2] = math.inf, -math.inf
+    with pytest.raises(ValueError, match="^generators and structure constants must be finite$"):
+        AlgebraBasis(gens, inf_c)
+    for bad in (math.nan, math.inf):
+        g = gens[0].copy()
+        g[0, 1] = bad
+        with pytest.raises(ValueError, match="^generators and structure constants must be finite$"):
+            AlgebraBasis((g,) + gens[1:], c)
+        with pytest.raises(ValueError, match="^generators must be finite$"):
+            AlgebraBasis.from_generators((g,) + gens[1:])
+    assert capfd.readouterr().err == ""
+
+
 def test_from_generators_recovers_sl2_constants():
     e = np.array([[0.0, 1.0], [0.0, 0.0]])
     f = np.array([[0.0, 0.0], [1.0, 0.0]])

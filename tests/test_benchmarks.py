@@ -142,7 +142,7 @@ def test_rhs_evaluates_each_coefficient_once():
 def test_abelian_increments_have_no_bracket_terms():
     system = default_system()
     w4 = system.basis.element(magnus4_increment(system.basis, system.coeffs, 0.3, 0.1))
-    wr = system.basis.element(rkmk_increment(system.basis, system.coeffs, 2, 0.3, 0.1))
+    wr = system.basis.element(rkmk_increment(system.basis, system.coeffs, 0.3, 0.1))
     # diagonal algebra: any commutator contribution would be off-diagonal
     assert np.abs(w4 - np.diag(np.diag(w4))).max() == 0.0
     assert np.abs(wr - np.diag(np.diag(wr))).max() == 0.0

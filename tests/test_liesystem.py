@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -20,7 +21,12 @@ from liesolve.ckspaces import (
     ck_invariant,
     ck_lie_system,
 )
-from liesolve.integrators import GEOMETRIC_METHODS, StepperConfig, integrate_group
+from liesolve.integrators import (
+    GEOMETRIC_METHODS,
+    StepperConfig,
+    integrate_group,
+    magnus4_increment,
+)
 from liesolve.liesystem import (
     ActionDomainError,
     GroupAction,
@@ -66,7 +72,9 @@ def test_incremental_equals_cumulative():
 def test_solve_group_reconstruction():
     _, system = ck_setup()
     traj = solve(system, [1.0, 1.0, 1.0], 3.0, 4.0, 10, StepperConfig("magnus4"))
-    for k, w in enumerate(traj.group.increments):
+    # w_k recomputed by the kernel at t_k, with the grid's h
+    for k, t_k in enumerate(traj.times[:-1].tolist()):
+        w = magnus4_increment(system.basis, system.coeffs, t_k, 0.1)
         e = mat_exp(system.basis.element(w))
         assert np.linalg.norm(e @ traj.group.elements[k] - traj.group.elements[k + 1]) <= 1e-12
 
@@ -91,7 +99,6 @@ def test_solve_reports_domain_error_step():
     assert len(err.partial.times) == len(err.partial.points) == err.step + 1
     group = err.partial.group
     assert len(group.elements) == err.step + 1
-    assert len(group.increments) == err.step
 
 
 def test_solve_stops_group_at_first_action_failure():
@@ -136,27 +143,22 @@ def test_solve_group_equals_integrate_group(method):
     group = traj.group
     assert traj.points.shape == (11, 3)
     assert group.elements.shape == (11, 3, 3)
-    assert group.increments.shape == (10, 3)
     alone = integrate_group(system.basis, system.coeffs, config, 3.0, 4.0, 10)
     assert np.array_equal(group.times, alone.times)
-    for field in ("elements", "increments"):
-        ours, theirs = getattr(group, field), getattr(alone, field)
-        assert len(ours) == len(theirs)
-        assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
+    assert np.array_equal(group.elements, alone.elements)
 
 
 def assert_partial_owns_rows(partial, step):
     """The partial of a solve that failed at step k holds copies of k+1
-    times, points and elements and of k increments, so that the error keeps
-    no full-length buffer alive."""
+    times, points and elements, so that the error keeps no full-length
+    buffer alive."""
     rows = {
-        "times": (partial.times, step + 1),
-        "points": (partial.points, step + 1),
-        "elements": (partial.group.elements, step + 1),
-        "increments": (partial.group.increments, step),
+        "times": partial.times,
+        "points": partial.points,
+        "elements": partial.group.elements,
     }
-    for name, (array, count) in rows.items():
-        assert len(array) == count, name
+    for name, array in rows.items():
+        assert len(array) == step + 1, name
         assert array.base is None, name
 
 
@@ -253,7 +255,6 @@ def test_solve_reports_magnus4_h_cubed_overflow():
     assert err.partial.times.tolist() == [0.0]
     assert err.partial.points.tolist() == [[1.0, 1.0, 1.0]]
     assert len(err.partial.group.elements) == 1
-    assert len(err.partial.group.increments) == 0
 
 
 def test_rk4_reports_blowup_step():
@@ -274,18 +275,31 @@ def test_rk4_needs_at_least_one_step():
 
 
 def _solver_runs():
-    """run(t0, t1) over 3 steps of the CK system, for every solver."""
+    """run(t0, t1, n=3) over n steps of the CK system, for every solver."""
     _, system = ck_setup()
     x0 = [1.0, 1.0, 1.0]
-    runs = [lambda t0, t1: solve_direct_rk4(system, x0, t0, t1, 3)]
+    runs = [lambda t0, t1, n=3: solve_direct_rk4(system, x0, t0, t1, n)]
     runs += [
-        lambda t0, t1, m=m: solve(system, x0, t0, t1, 3, StepperConfig(m))
+        lambda t0, t1, n=3, m=m: solve(system, x0, t0, t1, n, StepperConfig(m))
         for m in GEOMETRIC_METHODS
     ]
     runs.append(
-        lambda t0, t1: integrate_group(system.basis, system.coeffs, StepperConfig("rkmk"), t0, t1, 3)
+        lambda t0, t1, n=3: integrate_group(
+            system.basis, system.coeffs, StepperConfig("rkmk"), t0, t1, n
+        )
     )
     return runs
+
+
+def test_solvers_reject_a_non_integer_step_count():
+    # 2.5 steps made integrate_group's grid [0, 0.4, 0.8, 1.2], past t1, and
+    # the solvers failed in np.empty; an integer of numpy's type still works
+    for run in _solver_runs():
+        for n in (2.5, 3.0, np.float64(2.5)):
+            expected = f"^n_steps must be an integer, got {re.escape(repr(n))}$"
+            with pytest.raises(TypeError, match=expected):
+                run(0.0, 1.0, n)
+        assert np.array_equal(run(0.0, 1.0, np.int64(3)).times, run(0.0, 1.0, 3).times)
 
 
 def test_solvers_reject_non_finite_endpoints():
@@ -445,6 +459,27 @@ def test_estimate_order_exact_power_laws():
         estimate_order([0.1, 0.2], [1.0, 1.0])
 
 
+def test_global_error_rejects_a_trajectory_without_steps():
+    # a step-0 partial has one point: it was a ZeroDivisionError as the
+    # trajectory, and "slice step cannot be zero" as the reference
+    one = Trajectory(times=np.array([0.0]), points=np.zeros((1, 2)))
+    full = Trajectory(times=np.linspace(0.0, 1.0, 3), points=np.zeros((3, 2)))
+    expected = "^trajectory and reference need at least one step each$"
+    for traj, ref in ((one, full), (full, one), (one, one)):
+        with pytest.raises(ValueError, match=expected):
+            global_error(traj, ref)
+
+
+def test_estimate_order_rejects_non_finite_errors():
+    # a nan or inf error, or an inf h, made the fitted order nan without a word
+    hs = [0.1, 0.05, 0.025]
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^errors must be finite and positive$"):
+            estimate_order(hs, [1e-3, bad, 1e-5])
+    with pytest.raises(ValueError, match="^h values must be finite, positive and strictly"):
+        estimate_order([math.inf, 0.1], [1.0, 0.5])
+
+
 def test_estimate_order_on_ck_sweep(ck_reference):
     _, system = ck_setup()
     x0 = [1.0, 1.0, 1.0]
@@ -461,6 +496,14 @@ def test_spec_checks_arity_like_integrate_group():
     coeffs = CoefficientSet(funcs=(math.cos, math.sin))
     with pytest.raises(ValueError, match="^coefficient arity 2 != basis rank 3$"):
         LieSystemSpec(ck_generators(CKParams(0.8, -0.5)), coeffs, GroupAction(), 3, rhs=None)
+
+
+def test_spec_checks_the_linear_action_dimension():
+    # a dim other than the matrix size failed at step 0 with a bare matmul
+    # error; the flow-composition action is not tied to the matrix size
+    with pytest.raises(ValueError, match="^the linear action needs dim = 3, got 2$"):
+        dataclasses.replace(ck_setup()[1], dim=2)
+    assert dataclasses.replace(ck_setup("flow-composition")[1], dim=2).dim == 2
 
 
 def test_group_action_validation():

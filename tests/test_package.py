@@ -1,3 +1,5 @@
+import dataclasses
+
 import liesolve
 
 PUBLIC_NAMES = [
@@ -24,3 +26,20 @@ def test_public_surface_is_pinned():
     assert sorted(liesolve.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(liesolve, name) is not None, name
+
+
+# The fields of the public record types, in order
+RECORD_FIELDS = {
+    "CoefficientSet": ("funcs", "d1", "d2"),
+    "GroupTrajectory": ("times", "elements"),
+    "LieSystemSpec": ("basis", "coeffs", "action", "dim", "rhs", "invariant"),
+    "StepperConfig": ("method",),
+    "Trajectory": ("times", "points", "group"),
+}
+
+
+def test_record_fields_are_pinned():
+    # a setting or a buffer added to or dropped from a record shows up here
+    for name, fields in RECORD_FIELDS.items():
+        got = tuple(f.name for f in dataclasses.fields(getattr(liesolve, name)))
+        assert got == fields, name
