@@ -110,12 +110,15 @@ class AlgebraBasis:
         v = np.stack([g.ravel() for g in gens]).T  # (n^2, r)
         if not np.isfinite(v).all():
             raise ValueError("generators must be finite")
+        # finite generators can still overflow in their products
+        with np.errstate(over="ignore", invalid="ignore"):
+            brackets = [[commutator(g, f).ravel() for f in gens] for g in gens]
+        if not np.isfinite(brackets).all():
+            raise ValueError("commutators of the generators overflow")
         c = np.zeros((r, r, r))
         for a in range(r):
             for b in range(r):
-                w = commutator(gens[a], gens[b]).ravel()
-                coef, *_ = np.linalg.lstsq(v, w, rcond=None)
-                c[a, b] = coef
+                c[a, b] = np.linalg.lstsq(v, brackets[a][b], rcond=None)[0]
         return cls(tuple(gens), c)
 
 

@@ -62,22 +62,6 @@ class GroupTrajectory:
     times: np.ndarray
     elements: np.ndarray
 
-    def _cut(self, k: int) -> None:
-        """Cut in place to t_0..t_k, copied out of the full-length buffers
-        so that nothing still holds those.  A no-op when the trajectory has
-        k+1 elements already."""
-        if len(self.elements) > k + 1:
-            self.times = self.times[: k + 1].copy()
-            self.elements = self.elements[: k + 1].copy()
-
-
-def _new_group(times: np.ndarray, basis: AlgebraBasis) -> GroupTrajectory:
-    """A group trajectory over times with Y_0 = I and its other rows
-    allocated, to be filled by _group_steps."""
-    elements = np.empty((len(times), basis.n, basis.n))
-    elements[0] = np.eye(basis.n)
-    return GroupTrajectory(times, elements)
-
 
 def magnus2_increment(
     basis: AlgebraBasis, coeffs: CoefficientSet, t_k: float, h: float
@@ -150,23 +134,20 @@ def _time_grid(t0: float, t1: float, n_steps: int):
     return h, t0 + h * np.arange(n_steps + 1)
 
 
-def _non_finite(group: GroupTrajectory, k: int, t: float, what: str) -> NonFiniteStateError:
-    """The error of a step k that broke down: group is cut to t_0..t_k."""
-    group._cut(k)
-    return NonFiniteStateError(f"non-finite {what} at step {k} (t={t:g})", step=k, partial=group)
-
-
 def _group_steps(
     basis: AlgebraBasis, coeffs: CoefficientSet, config: StepperConfig, h: float,
-    group: GroupTrajectory,
-) -> Iterator[np.ndarray]:
-    """Steps group (from _new_group) from Y_0 over its time grid.  Step k
-    writes Y_{k+1} = E_k Y_k into group, then yields E_k = exp(W_k).
+    times: np.ndarray,
+) -> Iterator[tuple]:
+    """Steps Y from Y_0 = I over the time grid, keeping only the current Y:
+    step k yields (E_k, Y_{k+1}) with E_k = exp(W_k) and Y_{k+1} = E_k Y_k.
 
+    A config that is not a StepperConfig raises TypeError before step 0.
     A W_k, E_k or Y_{k+1} that is not finite, or an increment that
     overflows a Python float (OverflowError), raises NonFiniteStateError
-    with step=k and the group, cut to t_0..t_k.  A non-finite coefficient
-    keeps its ValueError."""
+    with step=k; the caller attaches its partial trajectory.  A non-finite
+    coefficient keeps its ValueError."""
+    if not isinstance(config, StepperConfig):
+        raise TypeError(f"config must be a StepperConfig, got {config!r}")
     # the kernels are looked up here, as module globals, when the solve
     # starts: a kernel rebound in this module is the one that steps
     increment = {
@@ -174,22 +155,27 @@ def _group_steps(
         "magnus4": magnus4_increment,
         "rkmk": rkmk_increment,
     }[config.method]
+    y = np.eye(basis.n)
     # the increments and the coefficients get Python floats: numpy scalars
     # make their arithmetic slower
-    for k, t in enumerate(group.times[:-1].tolist()):
+    for k, t in enumerate(times[:-1].tolist()):
         try:
             w = increment(basis, coeffs, t, h)
         except OverflowError as err:  # magnus4's h ** 3 for h >~ 5.6e102
-            raise _non_finite(group, k, t, "increment") from err
+            raise NonFiniteStateError(
+                f"non-finite increment at step {k} (t={t:g})", step=k
+            ) from err
         try:
             e = mat_exp(basis.element(w))
-            np.matmul(e, group.elements[k], out=group.elements[k + 1])
-            if not np.isfinite(group.elements[k + 1]).all():
+            y = e @ y
+            if not np.isfinite(y).all():
                 raise FloatingPointError("Y overflows")
         except (FloatingPointError, ValueError) as err:
             # mat_exp raises ValueError for a W_k whose increment overflowed
-            raise _non_finite(group, k, t, "group element") from err
-        yield e
+            raise NonFiniteStateError(
+                f"non-finite group element at step {k} (t={t:g})", step=k
+            ) from err
+        yield e, y
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _group_steps checks Y is finite
@@ -202,16 +188,24 @@ def integrate_group(
     n_steps: int,
 ) -> GroupTrajectory:
     """Fixed-step solve of dY/dt = A(t) Y from Y_0 = I via
-    Y_{k+1} = exp(W_k) Y_k.
+    Y_{k+1} = exp(W_k) Y_k; the one solver that stores every Y_k.
 
     A Y_{k+1} that is not finite raises NonFiniteStateError with step=k and
     the group trajectory up to t_k."""
     _check_arity(basis, coeffs)
     h, times = _time_grid(t0, t1, n_steps)
-    group = _new_group(times, basis)
-    for _ in _group_steps(basis, coeffs, config, h, group):
-        pass
-    return group
+    elements = np.empty((len(times), basis.n, basis.n))
+    elements[0] = np.eye(basis.n)
+    try:
+        for k, (_, y) in enumerate(_group_steps(basis, coeffs, config, h, times), 1):
+            elements[k] = y
+    except _StepError as err:
+        # copies of rows 0..k: this frame, kept by the traceback, drops the full buffers
+        k = err.step
+        times, elements = times[: k + 1].copy(), elements[: k + 1].copy()
+        err.partial = GroupTrajectory(times, elements)
+        raise
+    return GroupTrajectory(times, elements)
 
 
 def _slope(f, t: float, y: np.ndarray, size: int) -> list:

@@ -15,11 +15,9 @@ import numpy as np
 
 from .algebra import AlgebraBasis, CoefficientSet, _check_arity
 from .integrators import (
-    GroupTrajectory,
     NonFiniteStateError,
     StepperConfig,
     _group_steps,
-    _new_group,
     _StepError,
     _time_grid,
     rk4_direct_step,
@@ -85,12 +83,10 @@ class LieSystemSpec:
 
 @dataclass
 class Trajectory:
-    """Time-stamped manifold points, an (N+1, dim) array over N steps, plus
-    the group trajectory when the run produced one."""
+    """Time-stamped manifold points, an (N+1, dim) array over N steps."""
 
     times: np.ndarray
     points: np.ndarray
-    group: Optional[GroupTrajectory] = None
 
 
 def _initial_point(x0) -> np.ndarray:
@@ -112,7 +108,8 @@ def solve(
     config: StepperConfig,
 ) -> Trajectory:
     """Geometric solve in one pass: each group step E_k = exp(W_k),
-    Y_{k+1} = E_k Y_k, is followed by x_{k+1} = phi(E_k, x_k).
+    Y_{k+1} = E_k Y_k, is followed by x_{k+1} = phi(E_k, x_k).  Only the
+    points are returned; integrate_group gives the Y_k.
 
     The first failing step k raises the action's own ActionDomainError,
     subtype kept (outside the action's domain), or NonFiniteStateError (Y
@@ -121,15 +118,10 @@ def solve(
     if x.shape != (sys.dim,):
         raise ValueError(f"initial point must have dimension {sys.dim}")
     h, times = _time_grid(t0, t1, n_steps)
-    # points is allocated before the group buffers, which callers often
-    # drop: in the other order a series of kept solves fragments the heap
-    # (under glibc malloc, RSS grew 296 instead of 237 KB per kept set of
-    # four 2500-step solves: magnus2, magnus4, rkmk and RK4)
     points = np.empty((n_steps + 1, sys.dim))
     points[0] = x
-    group = _new_group(times, sys.basis)
     try:
-        for k, e in enumerate(_group_steps(sys.basis, sys.coeffs, config, h, group)):
+        for k, (e, _) in enumerate(_group_steps(sys.basis, sys.coeffs, config, h, times)):
             try:
                 x = sys.action.act(e, x)
             except ActionDomainError as err:
@@ -141,14 +133,12 @@ def solve(
                 raise NonFiniteStateError(f"non-finite state at step {k} (t={times[k]:g})", step=k)
             points[k + 1] = x
     except _StepError as err:
-        # Keep copies of the first k+1 rows only: neither the error nor this
-        # frame, which its traceback keeps, holds the full-length buffers.
+        # copies of rows 0..k: this frame, kept by the traceback, drops the full buffers
         k = err.step
-        group._cut(k)
-        points = points[: k + 1].copy()
-        err.partial = Trajectory(times=group.times, points=points, group=group)
+        times, points = times[: k + 1].copy(), points[: k + 1].copy()
+        err.partial = Trajectory(times, points)
         raise
-    return Trajectory(times=times, points=points, group=group)
+    return Trajectory(times, points)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # rk4_direct_step checks x is finite
@@ -186,6 +176,12 @@ def global_error(traj: Trajectory, reference: Trajectory) -> float:
     n_ref = len(reference.times) - 1
     if min(n, n_ref) < 1:
         raise ValueError("trajectory and reference need at least one step each")
+    if traj.points.shape[1:] != reference.points.shape[1:]:
+        # an (N+1, 1) reference would broadcast against (N+1, 3) points
+        raise ValueError(
+            f"points of shape {traj.points.shape[1:]} against a reference of shape "
+            f"{reference.points.shape[1:]}"
+        )
     if n_ref % n != 0:
         raise ValueError("reference grid is not a refinement of the trajectory grid")
     stride = n_ref // n

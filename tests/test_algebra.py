@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -82,6 +83,24 @@ def test_basis_rejects_non_finite_generators_and_constants(capfd):
             AlgebraBasis((g,) + gens[1:], c)
         with pytest.raises(ValueError, match="^generators must be finite$"):
             AlgebraBasis.from_generators((g,) + gens[1:])
+    assert capfd.readouterr().err == ""
+
+
+def test_from_generators_rejects_overflowing_commutators(capfd):
+    # finite generators whose products overflow printed two RuntimeWarnings
+    # (matmul overflow, invalid subtract) and then blamed the generators for
+    # not being finite; under -W error the RuntimeWarning itself was raised
+    e = np.array([[0.0, 1e200], [0.0, 0.0]])
+    gens = (e, e.T, np.diag([1e200, -1e200]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="^commutators of the generators overflow$"):
+            AlgebraBasis.from_generators(gens)
+    assert caught == []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^commutators of the generators overflow$"):
+            AlgebraBasis.from_generators(gens)
     assert capfd.readouterr().err == ""
 
 

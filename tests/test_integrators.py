@@ -264,12 +264,12 @@ def test_integrate_group_non_finite_coefficient_keeps_value_error(method):
     assert not isinstance(excinfo.value, NonFiniteStateError)
 
 
-def test_integrate_group_matches_fine_reference(ck_reference):
+def test_integrate_group_matches_fine_reference(ck_group_reference):
     ck = CKParams(0.8, -0.5)
     basis = ck_generators(ck)
     coeffs = ck_benchmark_coefficients()
     coarse = integrate_group(basis, coeffs, StepperConfig("rkmk"), 3.0, 4.0, 10)
-    fine = ck_reference.group
+    fine = ck_group_reference
     err = max(
         np.linalg.norm(coarse.elements[k] - fine.elements[1000 * k]) for k in range(11)
     )

@@ -65,7 +65,8 @@ def test_incremental_equals_cumulative():
     ck, system = ck_setup()
     x0 = np.array([1.0, 1.0, 1.0])
     traj = solve(system, x0, 3.0, 4.0, 10, StepperConfig("rkmk"))
-    for y, x in zip(traj.group.elements, traj.points):
+    group = integrate_group(system.basis, system.coeffs, StepperConfig("rkmk"), 3.0, 4.0, 10)
+    for y, x in zip(group.elements, traj.points):
         assert np.linalg.norm(y @ x0 - x) <= 1e-9
 
 
@@ -75,8 +76,8 @@ def test_solve_group_reconstruction():
     # w_k recomputed by the kernel at t_k, with the grid's h
     for k, t_k in enumerate(traj.times[:-1].tolist()):
         w = magnus4_increment(system.basis, system.coeffs, t_k, 0.1)
-        e = mat_exp(system.basis.element(w))
-        assert np.linalg.norm(e @ traj.group.elements[k] - traj.group.elements[k + 1]) <= 1e-12
+        x = system.action.act(mat_exp(system.basis.element(w)), traj.points[k])
+        assert np.linalg.norm(x - traj.points[k + 1]) <= 1e-12
 
 
 def test_solve_refinement_consistency():
@@ -97,8 +98,6 @@ def test_solve_reports_domain_error_step():
     assert err.step is not None
     assert err.partial is not None
     assert len(err.partial.times) == len(err.partial.points) == err.step + 1
-    group = err.partial.group
-    assert len(group.elements) == err.step + 1
 
 
 def test_solve_stops_group_at_first_action_failure():
@@ -135,28 +134,41 @@ def test_solve_keeps_the_action_error_subtype():
     assert len(err.partial.points) == 1
 
 
+class _RecordingAction(GroupAction):
+    """The linear action, recording each group element it is handed."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def act(self, g, x):
+        self.seen.append(g.copy())
+        return super().act(g, x)
+
+
 @pytest.mark.parametrize("method", ["magnus2", "magnus4", "rkmk"])
 def test_solve_group_equals_integrate_group(method):
+    # solve moves the point by the group's own E_k: each g it hands the
+    # action takes integrate_group's Y_k to its Y_{k+1}, to the bit
     _, system = ck_setup()
     config = StepperConfig(method)
-    traj = solve(system, [1.0, 1.0, 1.0], 3.0, 4.0, 10, config)
-    group = traj.group
+    recording = dataclasses.replace(system, action=_RecordingAction())
+    traj = solve(recording, [1.0, 1.0, 1.0], 3.0, 4.0, 10, config)
     assert traj.points.shape == (11, 3)
-    assert group.elements.shape == (11, 3, 3)
+    assert np.array_equal(traj.points, solve(system, [1.0, 1.0, 1.0], 3.0, 4.0, 10, config).points)
     alone = integrate_group(system.basis, system.coeffs, config, 3.0, 4.0, 10)
-    assert np.array_equal(group.times, alone.times)
-    assert np.array_equal(group.elements, alone.elements)
+    assert np.array_equal(traj.times, alone.times)
+    seen = recording.action.seen
+    assert len(seen) == 10
+    for k, g in enumerate(seen):
+        assert np.array_equal(g @ alone.elements[k], alone.elements[k + 1]), k
 
 
 def assert_partial_owns_rows(partial, step):
     """The partial of a solve that failed at step k holds copies of k+1
-    times, points and elements, so that the error keeps no full-length
-    buffer alive."""
-    rows = {
-        "times": partial.times,
-        "points": partial.points,
-        "elements": partial.group.elements,
-    }
+    times and points, so that the error keeps no full-length buffer
+    alive."""
+    rows = {"times": partial.times, "points": partial.points}
     for name, array in rows.items():
         assert len(array) == step + 1, name
         assert array.base is None, name
@@ -180,6 +192,66 @@ def test_solve_transports_up_to_group_overflow():
     assert_partial_owns_rows(err.partial, 65)
 
 
+def _long_arrays_on_traceback(err):
+    """Names of the frame locals, and attributes of locals, on the
+    tracebacks of err and of its causes that are arrays of two or more
+    dimensions with more than err.step + 1 rows."""
+    found = []
+    exc = err
+    while exc is not None:
+        tb = exc.__traceback__
+        while tb is not None:
+            frame = tb.tb_frame
+            for name, value in frame.f_locals.items():
+                attrs = getattr(value, "__dict__", {})
+                pairs = [(name, value)] + [(f"{name}.{a}", v) for a, v in attrs.items()]
+                for label, v in pairs:
+                    if isinstance(v, np.ndarray) and v.ndim >= 2 and len(v) > err.step + 1:
+                        found.append(f"{frame.f_code.co_name}: {label} {v.shape}")
+            tb = tb.tb_next
+        exc = exc.__cause__ or exc.__context__
+    return found
+
+
+def test_failed_solves_keep_no_full_length_buffer():
+    # the traceback keeps every frame a failed solve went through: none of
+    # their locals may still hold the (N+1)-row points or elements buffers
+    system = limit_cycle_system(lambda t: 1.0 + t * t, math.exp)
+    config = StepperConfig("rkmk")
+    runs = {
+        "solve, group overflow": lambda: solve(system, [0.5, 0.0], 0.0, 7.0, 7000, config),
+        "solve, action error": lambda: solve(system, [2.0, 0.0], 0.0, 7.0, 7000, config),
+        "integrate_group": lambda: integrate_group(
+            system.basis, system.coeffs, config, 0.0, 7.0, 7000
+        ),
+        "solve_direct_rk4": lambda: solve_direct_rk4(system, [2.0, 0.0], 0.0, 7.0, 7000),
+    }
+    for name, run in runs.items():
+        with pytest.raises((NonFiniteStateError, ActionDomainError)) as excinfo:
+            run()
+        err = excinfo.value
+        assert 0 < err.step < 6999, name
+        assert _long_arrays_on_traceback(err) == [], name
+
+
+def test_solvers_reject_a_config_that_is_not_a_stepper_config():
+    # a method name in place of the config ended in "'str' object has no
+    # attribute 'method'"; it is rejected before any coefficient is read
+    calls = []
+    coeffs = CoefficientSet(funcs=(lambda t: calls.append(t) or 0.0,) * 3)
+    system = ck_lie_system(CKParams(0.8, -0.5), coeffs)
+    runs = [
+        lambda c: solve(system, [1.0, 1.0, 1.0], 3.0, 4.0, 10, c),
+        lambda c: integrate_group(system.basis, system.coeffs, c, 3.0, 4.0, 10),
+    ]
+    for run in runs:
+        for bad in ("rkmk", None):
+            expected = f"^config must be a StepperConfig, got {re.escape(repr(bad))}$"
+            with pytest.raises(TypeError, match=expected):
+                run(bad)
+    assert calls == []
+
+
 def test_solve_reports_non_finite_state_step():
     # Y_k = diag(e^{kh}, 1) stays finite while the linear action's
     # x_k = (1e308 e^{kh}, 1) overflows at step 5 of h = 0.1
@@ -196,7 +268,6 @@ def test_solve_reports_non_finite_state_step():
         assert err.step == 5
         assert len(err.partial.points) == 6
         assert np.isfinite(err.partial.points).all()
-        assert len(err.partial.group.elements) == 6
 
 
 def test_solve_checks_the_initial_point_dimension():
@@ -238,7 +309,6 @@ def test_solve_reports_increment_overflow(method):
     err = excinfo.value
     assert err.step == 0
     assert err.partial.points.tolist() == [[1.0, 1.0, 1.0]]
-    assert len(err.partial.group.elements) == 1
 
 
 def test_solve_reports_magnus4_h_cubed_overflow():
@@ -254,7 +324,6 @@ def test_solve_reports_magnus4_h_cubed_overflow():
     assert isinstance(err.__cause__, OverflowError)
     assert err.partial.times.tolist() == [0.0]
     assert err.partial.points.tolist() == [[1.0, 1.0, 1.0]]
-    assert len(err.partial.group.elements) == 1
 
 
 def test_rk4_reports_blowup_step():
@@ -468,6 +537,17 @@ def test_global_error_rejects_a_trajectory_without_steps():
     for traj, ref in ((one, full), (full, one), (one, one)):
         with pytest.raises(ValueError, match=expected):
             global_error(traj, ref)
+
+
+def test_global_error_rejects_points_of_different_shapes():
+    # an (11, 1) reference broadcast against (11, 3) points and gave 1.732
+    t = np.linspace(0.0, 1.0, 11)
+    three = Trajectory(times=t, points=np.zeros((11, 3)))
+    one = Trajectory(times=t, points=np.ones((11, 1)))
+    with pytest.raises(ValueError, match=r"^points of shape \(3,\) against a reference of shape \(1,\)$"):
+        global_error(three, one)
+    with pytest.raises(ValueError, match=r"^points of shape \(1,\) against a reference of shape \(3,\)$"):
+        global_error(one, three)
 
 
 def test_estimate_order_rejects_non_finite_errors():

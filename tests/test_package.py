@@ -34,7 +34,7 @@ RECORD_FIELDS = {
     "GroupTrajectory": ("times", "elements"),
     "LieSystemSpec": ("basis", "coeffs", "action", "dim", "rhs", "invariant"),
     "StepperConfig": ("method",),
-    "Trajectory": ("times", "points", "group"),
+    "Trajectory": ("times", "points"),
 }
 
 
