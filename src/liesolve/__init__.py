@@ -5,16 +5,15 @@ from .algebra import (
     CoefficientSet,
 )
 from .integrators import (
-    GroupTrajectory,
     NonFiniteStateError,
     StepperConfig,
+    Trajectory,
     integrate_group,
 )
 from .liesystem import (
     ActionDomainError,
     GroupAction,
     LieSystemSpec,
-    Trajectory,
     estimate_order,
     global_error,
     solve,
@@ -27,7 +26,6 @@ __all__ = [
     "AlgebraBasis",
     "CoefficientSet",
     "GroupAction",
-    "GroupTrajectory",
     "LieSystemSpec",
     "NonFiniteStateError",
     "StepperConfig",

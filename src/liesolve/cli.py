@@ -198,6 +198,8 @@ def run_convergence(args) -> int:
 
 
 def run_riccati_check(args) -> int:
+    if not args.tol >= 0:  # nan too: every comparison with it is False
+        raise SystemExit(f"error: --tol must be a number >= 0, got {args.tol}")
     b1 = lambda t: 1.0
     b2 = lambda t: t
     b12 = math.sin

@@ -55,12 +55,12 @@ class StepperConfig:
 
 
 @dataclass
-class GroupTrajectory:
-    """Times t_k and group elements Y_k, with Y_{k+1} = exp(W_k) Y_k.  Over
-    N steps of an n x n group, elements is an (N+1, n, n) array."""
+class Trajectory:
+    """Time-stamped states over N steps: the (N+1, dim) manifold points of a
+    solve, or the (N+1, n, n) group elements Y_k of integrate_group."""
 
     times: np.ndarray
-    elements: np.ndarray
+    points: np.ndarray
 
 
 def magnus2_increment(
@@ -144,7 +144,7 @@ def _group_steps(
     A config that is not a StepperConfig raises TypeError before step 0.
     A W_k, E_k or Y_{k+1} that is not finite, or an increment that
     overflows a Python float (OverflowError), raises NonFiniteStateError
-    with step=k; the caller attaches its partial trajectory.  A non-finite
+    with step=k; _record attaches the partial trajectory.  A non-finite
     coefficient keeps its ValueError."""
     if not isinstance(config, StepperConfig):
         raise TypeError(f"config must be a StepperConfig, got {config!r}")
@@ -178,6 +178,24 @@ def _group_steps(
         yield e, y
 
 
+def _record(times: np.ndarray, x0: np.ndarray, steps: Iterator[np.ndarray]) -> Trajectory:
+    """One row per time: x0, then each state that steps yields.  A
+    _StepError with step=k is re-raised with the trajectory up to t_k.
+    steps runs as it is pulled here, under the calling solver's np.errstate."""
+    points = np.empty((len(times),) + x0.shape)
+    points[0] = x0
+    try:
+        for k, x in enumerate(steps, 1):
+            points[k] = x
+    except _StepError as err:
+        # copies of rows 0..k: this frame, kept by the traceback, drops the full buffers
+        k = err.step
+        times, points = times[: k + 1].copy(), points[: k + 1].copy()
+        err.partial = Trajectory(times, points)
+        raise
+    return Trajectory(times, points)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # _group_steps checks Y is finite
 def integrate_group(
     basis: AlgebraBasis,
@@ -186,26 +204,16 @@ def integrate_group(
     t0: float,
     t1: float,
     n_steps: int,
-) -> GroupTrajectory:
+) -> Trajectory:
     """Fixed-step solve of dY/dt = A(t) Y from Y_0 = I via
-    Y_{k+1} = exp(W_k) Y_k; the one solver that stores every Y_k.
+    Y_{k+1} = exp(W_k) Y_k; the one solver that stores every Y_k, as points.
 
     A Y_{k+1} that is not finite raises NonFiniteStateError with step=k and
     the group trajectory up to t_k."""
     _check_arity(basis, coeffs)
     h, times = _time_grid(t0, t1, n_steps)
-    elements = np.empty((len(times), basis.n, basis.n))
-    elements[0] = np.eye(basis.n)
-    try:
-        for k, (_, y) in enumerate(_group_steps(basis, coeffs, config, h, times), 1):
-            elements[k] = y
-    except _StepError as err:
-        # copies of rows 0..k: this frame, kept by the traceback, drops the full buffers
-        k = err.step
-        times, elements = times[: k + 1].copy(), elements[: k + 1].copy()
-        err.partial = GroupTrajectory(times, elements)
-        raise
-    return GroupTrajectory(times, elements)
+    steps = (y for _, y in _group_steps(basis, coeffs, config, h, times))
+    return _record(times, np.eye(basis.n), steps)
 
 
 def _slope(f, t: float, y: np.ndarray, size: int) -> list:

@@ -17,7 +17,9 @@ from .algebra import AlgebraBasis, CoefficientSet, _check_arity
 from .integrators import (
     NonFiniteStateError,
     StepperConfig,
+    Trajectory,
     _group_steps,
+    _record,
     _StepError,
     _time_grid,
     rk4_direct_step,
@@ -77,16 +79,11 @@ class LieSystemSpec:
 
     def __post_init__(self):
         _check_arity(self.basis, self.coeffs)
-        if not self.action.flows and self.dim != self.basis.n:
-            raise ValueError(f"the linear action needs dim = {self.basis.n}, got {self.dim}")
-
-
-@dataclass
-class Trajectory:
-    """Time-stamped manifold points, an (N+1, dim) array over N steps."""
-
-    times: np.ndarray
-    points: np.ndarray
+        n, r, flows = self.basis.n, self.basis.r, len(self.action.flows)
+        if not flows and self.dim != n:
+            raise ValueError(f"the linear action needs dim = {n}, got {self.dim}")
+        if flows and flows != r:
+            raise ValueError(f"the flow-composition action needs {r} flows, got {flows}")
 
 
 def _initial_point(x0) -> np.ndarray:
@@ -118,9 +115,8 @@ def solve(
     if x.shape != (sys.dim,):
         raise ValueError(f"initial point must have dimension {sys.dim}")
     h, times = _time_grid(t0, t1, n_steps)
-    points = np.empty((n_steps + 1, sys.dim))
-    points[0] = x
-    try:
+
+    def steps(x):
         for k, (e, _) in enumerate(_group_steps(sys.basis, sys.coeffs, config, h, times)):
             try:
                 x = sys.action.act(e, x)
@@ -131,14 +127,9 @@ def solve(
                 raise
             if not np.isfinite(x).all():
                 raise NonFiniteStateError(f"non-finite state at step {k} (t={times[k]:g})", step=k)
-            points[k + 1] = x
-    except _StepError as err:
-        # copies of rows 0..k: this frame, kept by the traceback, drops the full buffers
-        k = err.step
-        times, points = times[: k + 1].copy(), points[: k + 1].copy()
-        err.partial = Trajectory(times, points)
-        raise
-    return Trajectory(times, points)
+            yield x
+
+    return _record(times, x, steps(x))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # rk4_direct_step checks x is finite
@@ -152,26 +143,25 @@ def solve_direct_rk4(
     and the trajectory up to t_k."""
     x = _initial_point(x0)
     h, times = _time_grid(t0, t1, n_steps)
-    points = np.empty((n_steps + 1,) + x.shape)
-    points[0] = x
-    # the rhs gets Python floats: numpy scalars make its arithmetic slower
-    for k, t in enumerate(times[:-1].tolist()):
-        try:
-            x = rk4_direct_step(sys.rhs, t, h, x)
-        except FloatingPointError as err:
-            points = points[: k + 1].copy()  # the error's traceback keeps this frame
-            raise NonFiniteStateError(
-                f"non-finite RK4 state at step {k} (t={t})",
-                step=k,
-                partial=Trajectory(times=times[: k + 1].copy(), points=points),
-            ) from err
-        points[k + 1] = x
-    return Trajectory(times=times, points=points)
+
+    def steps(x):
+        # the rhs gets Python floats: numpy scalars make its arithmetic slower
+        for k, t in enumerate(times[:-1].tolist()):
+            try:
+                x = rk4_direct_step(sys.rhs, t, h, x)
+            except FloatingPointError as err:
+                msg = f"non-finite RK4 state at step {k} (t={t})"
+                raise NonFiniteStateError(msg, step=k) from err
+            yield x
+
+    return _record(times, x, steps(x))
 
 
 def global_error(traj: Trajectory, reference: Trajectory) -> float:
-    """max_k ||x_ref(t_k) - x_k||_2, with the reference subsampled onto the
-    trajectory's grid (its step count must be a multiple)."""
+    """max_k ||x_ref(t_k) - x_k||_2 over the flattened states (|x_ref - x|
+    for scalar states, the Frobenius norm for integrate_group's Y_k), with
+    the reference subsampled onto the trajectory's grid (its step count
+    must be a multiple)."""
     n = len(traj.times) - 1
     n_ref = len(reference.times) - 1
     if min(n, n_ref) < 1:
@@ -189,7 +179,7 @@ def global_error(traj: Trajectory, reference: Trajectory) -> float:
     if not np.allclose(ref_times, traj.times, atol=1e-9, rtol=0):
         raise ValueError("time grids disagree after subsampling")
     diff = reference.points[::stride] - traj.points
-    return float(np.max(np.linalg.norm(diff, axis=1)))
+    return float(np.max(np.linalg.norm(diff.reshape(len(diff), -1), axis=1)))
 
 
 def estimate_order(hs: Sequence[float], errors: Sequence[float]) -> float:

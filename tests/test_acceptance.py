@@ -124,7 +124,7 @@ def test_criterion_04_group_solution_stays_in_group():
         traj = integrate_group(
             basis, ck_benchmark_coefficients(), StepperConfig(method), 3.0, 4.0, 10
         )
-        for y in traj.elements:
+        for y in traj.points:
             worst = max(worst, float(np.abs(y.T @ ik @ y - ik).max()))
     ok = worst <= 1e-9
     report(
@@ -333,7 +333,7 @@ def test_criterion_11_incremental_equals_cumulative():
     system = bench_system()
     traj = solve(system, BENCH_X0, 3.0, 4.0, 10, StepperConfig("rkmk"))
     group = integrate_group(system.basis, system.coeffs, StepperConfig("rkmk"), 3.0, 4.0, 10)
-    for y, x in zip(group.elements, traj.points):
+    for y, x in zip(group.points, traj.points):
         worst = max(worst, float(np.linalg.norm(system.action.act(y, BENCH_X0) - x)))
     ok = worst <= 1e-9
     report(

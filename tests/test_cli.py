@@ -1,7 +1,9 @@
+import re
 from pathlib import Path
 
 import pytest
 
+from liesolve import cli
 from liesolve.cli import main
 
 CLI_REFS = Path(__file__).resolve().parents[1] / "bench" / "cli_refs"
@@ -182,6 +184,16 @@ def test_riccati_check_fail_exit_code(tmp_path, capsys):
 def test_riccati_check_rejects_repeated_inits(tmp_path):
     with pytest.raises(SystemExit):
         main(["riccati-check", "--x0", "0,0,1,2", "--out", str(tmp_path / "r.csv")])
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_riccati_check_rejects_a_tolerance_that_is_not_a_number_ge_0(tmp_path, monkeypatch, tol):
+    # these ran the whole solve, wrote the CSV and reported FAIL
+    monkeypatch.setattr(cli, "solve_direct_rk4", None)  # a solve would be a TypeError
+    message = re.escape(f"error: --tol must be a number >= 0, got {float(tol)}")
+    with pytest.raises(SystemExit, match=f"^{message}$"):
+        main(["riccati-check", f"--tol={tol}", "--out", str(tmp_path / "r.csv")])
+    assert not list(tmp_path.iterdir())
 
 
 def test_csv_format_is_semicolon_and_17g(tmp_path):

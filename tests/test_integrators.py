@@ -153,8 +153,8 @@ def test_integrate_group_zero_field():
     basis = AlgebraBasis((m,), np.zeros((1, 1, 1)))
     coeffs = CoefficientSet(funcs=(lambda t: 0.0,))
     traj = integrate_group(basis, coeffs, StepperConfig("magnus2"), 0.0, 1.0, 5)
-    assert len(traj.times) == len(traj.elements) == 6
-    for y in traj.elements:
+    assert len(traj.times) == len(traj.points) == 6
+    for y in traj.points:
         assert np.array_equal(y, np.eye(2))
 
 
@@ -170,7 +170,7 @@ def test_integrate_group_constant_field_exact():
     m = np.array([[0.0, 1.0], [-1.0, 0.0]])
     basis, coeffs = constant_basis_coeffs(m)
     traj = integrate_group(basis, coeffs, StepperConfig("magnus2"), 0.0, 0.1, 1)
-    assert np.allclose(traj.elements[-1], mat_exp(0.1 * m), atol=1e-14)
+    assert np.allclose(traj.points[-1], mat_exp(0.1 * m), atol=1e-14)
 
 
 def test_integrate_group_reconstruction_invariant():
@@ -178,13 +178,13 @@ def test_integrate_group_reconstruction_invariant():
     basis = ck_generators(ck)
     coeffs = ck_benchmark_coefficients()
     traj = integrate_group(basis, coeffs, StepperConfig("rkmk"), 3.0, 4.0, 10)
-    assert len(traj.times) == len(traj.elements) == 11
+    assert len(traj.times) == len(traj.points) == 11
     # w_k recomputed by the kernel at t_k, with the grid's h
     for k, t_k in enumerate(traj.times[:-1].tolist()):
         w = rkmk_increment(basis, coeffs, t_k, 0.1)
-        rebuilt = mat_exp(basis.element(w)) @ traj.elements[k]
-        assert np.array_equal(rebuilt, traj.elements[k + 1])
-        assert np.linalg.norm(rebuilt - traj.elements[k + 1]) <= 1e-12
+        rebuilt = mat_exp(basis.element(w)) @ traj.points[k]
+        assert np.array_equal(rebuilt, traj.points[k + 1])
+        assert np.linalg.norm(rebuilt - traj.points[k + 1]) <= 1e-12
 
 
 def test_integrate_group_reports_overflow_step():
@@ -196,8 +196,8 @@ def test_integrate_group_reports_overflow_step():
     assert err.step == 7
     assert "t=7" in str(err)
     group = err.partial
-    assert len(group.times) == len(group.elements) == 8
-    assert np.all(np.isfinite(group.elements[-1]))
+    assert len(group.times) == len(group.points) == 8
+    assert np.all(np.isfinite(group.points[-1]))
 
 
 def test_integrate_group_reports_exp_overflow_step():
@@ -216,7 +216,7 @@ def test_integrate_group_reports_exp_overflow_step():
         err = excinfo.value
         assert err.step == 0
         assert isinstance(err.__cause__, FloatingPointError)
-        assert len(err.partial.times) == len(err.partial.elements) == 1
+        assert len(err.partial.times) == len(err.partial.points) == 1
 
 
 @pytest.mark.parametrize("method", GEOMETRIC_METHODS)
@@ -232,7 +232,7 @@ def test_integrate_group_reports_increment_overflow(method):
             integrate_group(basis, coeffs, StepperConfig(method), 0.0, 10.0, 1)
     err = excinfo.value
     assert err.step == 0
-    assert len(err.partial.times) == len(err.partial.elements) == 1
+    assert len(err.partial.times) == len(err.partial.points) == 1
 
 
 def test_integrate_group_reports_magnus4_h_cubed_overflow():
@@ -247,10 +247,10 @@ def test_integrate_group_reports_magnus4_h_cubed_overflow():
     err = excinfo.value
     assert err.step == 0
     assert isinstance(err.__cause__, OverflowError)
-    assert len(err.partial.times) == len(err.partial.elements) == 1
+    assert len(err.partial.times) == len(err.partial.points) == 1
     for method in ("magnus2", "rkmk"):
         group = integrate_group(basis, coeffs, StepperConfig(method), 0.0, 1e103, 1)
-        assert np.isfinite(group.elements).all()
+        assert np.isfinite(group.points).all()
 
 
 @pytest.mark.parametrize("method", GEOMETRIC_METHODS)
@@ -271,7 +271,7 @@ def test_integrate_group_matches_fine_reference(ck_group_reference):
     coarse = integrate_group(basis, coeffs, StepperConfig("rkmk"), 3.0, 4.0, 10)
     fine = ck_group_reference
     err = max(
-        np.linalg.norm(coarse.elements[k] - fine.elements[1000 * k]) for k in range(11)
+        np.linalg.norm(coarse.points[k] - fine.points[1000 * k]) for k in range(11)
     )
     assert err <= 1e-4
 

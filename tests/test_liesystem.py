@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -66,7 +67,7 @@ def test_incremental_equals_cumulative():
     x0 = np.array([1.0, 1.0, 1.0])
     traj = solve(system, x0, 3.0, 4.0, 10, StepperConfig("rkmk"))
     group = integrate_group(system.basis, system.coeffs, StepperConfig("rkmk"), 3.0, 4.0, 10)
-    for y, x in zip(group.elements, traj.points):
+    for y, x in zip(group.points, traj.points):
         assert np.linalg.norm(y @ x0 - x) <= 1e-9
 
 
@@ -161,7 +162,7 @@ def test_solve_group_equals_integrate_group(method):
     seen = recording.action.seen
     assert len(seen) == 10
     for k, g in enumerate(seen):
-        assert np.array_equal(g @ alone.elements[k], alone.elements[k + 1]), k
+        assert np.array_equal(g @ alone.points[k], alone.points[k + 1]), k
 
 
 def assert_partial_owns_rows(partial, step):
@@ -215,7 +216,8 @@ def _long_arrays_on_traceback(err):
 
 def test_failed_solves_keep_no_full_length_buffer():
     # the traceback keeps every frame a failed solve went through: none of
-    # their locals may still hold the (N+1)-row points or elements buffers
+    # their locals may still hold the (N+1)-row points buffer (manifold
+    # points, or integrate_group's Y_k)
     system = limit_cycle_system(lambda t: 1.0 + t * t, math.exp)
     config = StepperConfig("rkmk")
     runs = {
@@ -550,6 +552,21 @@ def test_global_error_rejects_points_of_different_shapes():
         global_error(one, three)
 
 
+def test_global_error_takes_the_norm_of_each_flattened_state():
+    # scalar states raised numpy's AxisError, and integrate_group's Y_k would
+    # get their largest column norm in place of the Frobenius norm
+    decay = SimpleNamespace(rhs=lambda t, x: -x)
+    coarse, fine = (solve_direct_rk4(decay, 1.0, 0.0, 1.0, n) for n in (10, 20))
+    assert coarse.points.shape == (11,)
+    assert global_error(coarse, fine) == np.max(np.abs(fine.points[::2] - coarse.points))
+    basis, coeffs = ck_generators(CKParams(0.8, -0.5)), ck_benchmark_coefficients()
+    coarse, fine = (
+        integrate_group(basis, coeffs, StepperConfig("magnus2"), 3.0, 4.0, n) for n in (10, 20)
+    )
+    expected = max(np.linalg.norm(fine.points[2 * k] - coarse.points[k], "fro") for k in range(11))
+    assert global_error(coarse, fine) == pytest.approx(expected, rel=1e-14)
+
+
 def test_estimate_order_rejects_non_finite_errors():
     # a nan or inf error, or an inf h, made the fitted order nan without a word
     hs = [0.1, 0.05, 0.025]
@@ -584,6 +601,15 @@ def test_spec_checks_the_linear_action_dimension():
     with pytest.raises(ValueError, match="^the linear action needs dim = 3, got 2$"):
         dataclasses.replace(ck_setup()[1], dim=2)
     assert dataclasses.replace(ck_setup("flow-composition")[1], dim=2).dim == 2
+
+
+def test_spec_checks_the_flow_count():
+    # 2 flows for a rank-3 basis built, and solve ended at step 0 in a bare
+    # "extracted coordinate count does not match flow count", with no step
+    system = ck_setup("flow-composition")[1]
+    action = GroupAction(system.action.flows[:2], system.action.extract)
+    with pytest.raises(ValueError, match="^the flow-composition action needs 3 flows, got 2$"):
+        dataclasses.replace(system, action=action)
 
 
 def test_group_action_validation():

@@ -7,7 +7,6 @@ PUBLIC_NAMES = [
     "AlgebraBasis",
     "CoefficientSet",
     "GroupAction",
-    "GroupTrajectory",
     "LieSystemSpec",
     "NonFiniteStateError",
     "StepperConfig",
@@ -31,7 +30,6 @@ def test_public_surface_is_pinned():
 # The fields of the public record types, in order
 RECORD_FIELDS = {
     "CoefficientSet": ("funcs", "d1", "d2"),
-    "GroupTrajectory": ("times", "elements"),
     "LieSystemSpec": ("basis", "coeffs", "action", "dim", "rhs", "invariant"),
     "StepperConfig": ("method",),
     "Trajectory": ("times", "points"),
