@@ -8,35 +8,30 @@ so that dexp-inverse runs on r-vectors too."""
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .matrixcore import DimensionMismatchError, commutator
 
-# Convention with B1 = -1/2 (the one that makes the dexp-inverse truncation
-# read H - [W,H]/2 + [W,[W,H]]/12 + ...).
-_BERNOULLI = (
-    Fraction(1),
-    Fraction(-1, 2),
-    Fraction(1, 6),
-    Fraction(0),
-    Fraction(-1, 30),
-    Fraction(0),
-    Fraction(1, 42),
-    Fraction(0),
-    Fraction(-1, 30),
-    Fraction(0),
-    Fraction(5, 66),
+# The dexp-inverse series coefficients B_i / i!, in the Bernoulli convention
+# B_1 = -1/2 that makes the truncation read H - [W,H]/2 + [W,[W,H]]/12 + ...
+# Each is the float nearest the exact fraction.
+_DEXPINV_COEFFS = (
+    1.0, -1 / 2, 1 / 12, 0.0, -1 / 720, 0.0, 1 / 30240, 0.0, -1 / 1209600, 0.0, 1 / 47900160,
 )
 
-MAX_DEXPINV_ORDER = len(_BERNOULLI) - 1
-
-# The dexp-inverse series coefficients B_i / i!, as floats.
-_DEXPINV_COEFFS = tuple(float(b / math.factorial(i)) for i, b in enumerate(_BERNOULLI))
+MAX_DEXPINV_ORDER = len(_DEXPINV_COEFFS) - 1
 
 STRUCTURE_TOL = 1e-10
+
+
+def _check_generators(gens) -> None:
+    if not gens:
+        raise ValueError("basis needs at least one generator")
+    shape = gens[0].shape
+    if len(shape) != 2 or shape[0] != shape[1] or any(g.shape != shape for g in gens):
+        raise ValueError("all generators must share the same square shape")
 
 
 @dataclass(frozen=True)
@@ -52,13 +47,8 @@ class AlgebraBasis:
         object.__setattr__(self, "generators", gens)
         c = np.asarray(self.structure_constants, dtype=float)
         object.__setattr__(self, "structure_constants", c)
+        _check_generators(gens)
         r = len(gens)
-        if r == 0:
-            raise ValueError("basis needs at least one generator")
-        n = gens[0].shape[0]
-        for g in gens:
-            if g.shape != (n, n):
-                raise ValueError("all generators must share the same square shape")
         if c.shape != (r, r, r):
             raise ValueError(f"structure constants must have shape ({r},{r},{r})")
         v = np.stack([g.ravel() for g in gens])
@@ -106,6 +96,7 @@ class AlgebraBasis:
         """Derive structure constants by least squares on the vectorized
         generators (they must actually close under the bracket)."""
         gens = [np.asarray(g, dtype=float) for g in generators]
+        _check_generators(gens)
         r = len(gens)
         v = np.stack([g.ravel() for g in gens]).T  # (n^2, r)
         if not np.isfinite(v).all():
@@ -144,17 +135,15 @@ class CoefficientSet:
     def r(self) -> int:
         return len(self.funcs)
 
-    def values(self, t: float) -> np.ndarray:
-        return np.array(_floats(self.funcs, t, "value"))
+    def values(self, t: float) -> list:
+        """b(t) as a list of Python floats."""
+        return _floats(self.funcs, t, "value")
 
     def derivatives(self, t: float):
-        """(b'(t), b''(t)), analytic where derivatives were supplied and
-        central differences of values otherwise: the five-point stencil for
-        b', the three-point one for b'', with step max(1e-4, 1e-4 |t|)."""
-        return tuple(map(np.array, self._derivative_floats(t)))
-
-    def _derivative_floats(self, t: float):
-        """derivatives(t) as two lists of Python floats."""
+        """(b'(t), b''(t)) as two lists of Python floats, analytic where
+        derivatives were supplied and central differences of values
+        otherwise: the five-point stencil for b', the three-point one for
+        b'', with step max(1e-4, 1e-4 |t|)."""
         if self.d1 is None or self.d2 is None:
             # the step balances truncation against round-off at double
             # precision for smooth coefficients
@@ -196,11 +185,6 @@ def assemble_A(basis: AlgebraBasis, coeffs: CoefficientSet, t: float) -> np.ndar
     return basis.element(coeffs.values(t))
 
 
-def _check_order(order: int) -> None:
-    if not 0 <= order <= MAX_DEXPINV_ORDER:
-        raise ValueError(f"truncation order must be in [0, {MAX_DEXPINV_ORDER}], got {order}")
-
-
 def _dexpinv_series(bracket, h: list, order: int) -> list:
     """sum_{i=0..order} (B_i / i!) bracket^i (h) on a list of Python floats,
     where bracket applies ad_omega to such a list: coordinate vectors, or
@@ -225,6 +209,7 @@ def dexpinv(omega: np.ndarray, h: np.ndarray, order: int) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     if omega.shape != h.shape:
         raise DimensionMismatchError(f"shape mismatch: {omega.shape} vs {h.shape}")
-    _check_order(order)
+    if not 0 <= order <= MAX_DEXPINV_ORDER:
+        raise ValueError(f"truncation order must be in [0, {MAX_DEXPINV_ORDER}], got {order}")
     ad_omega = lambda x: commutator(omega, np.reshape(x, h.shape)).ravel().tolist()
     return np.reshape(_dexpinv_series(ad_omega, h.ravel().tolist(), order), h.shape)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraBasis, CoefficientSet, _floats
+from .algebra import AlgebraBasis, CoefficientSet
 from .liesystem import ActionDomainError, GroupAction, LieSystemSpec
 
 # |kappa| below this is treated as exactly zero (parabolic branch).
@@ -173,7 +173,7 @@ def ck_invariant(ck: CKParams, x) -> float:
 def ck_system_rhs(ck: CKParams, coeffs: CoefficientSet, t: float, x) -> np.ndarray:
     """The ambient-coordinate ODE: dx/dt = (b1 M_P1 + b2 M_P2 + b12 M_J12) x."""
     x0, x1, x2 = np.asarray(x, dtype=float).tolist()
-    b1, b2, b12 = _floats(coeffs.funcs, t, "value")
+    b1, b2, b12 = coeffs.values(t)
     k1, k2 = ck.kappa1, ck.kappa2
     return np.array(
         [

@@ -14,13 +14,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .algebra import (
-    AlgebraBasis,
-    CoefficientSet,
-    _check_arity,
-    _dexpinv_series,
-    _floats,
-)
+from .algebra import AlgebraBasis, CoefficientSet, _check_arity, _dexpinv_series
 from .matrixcore import mat_exp
 
 GEOMETRIC_METHODS = ("magnus2", "magnus4", "rkmk")
@@ -68,7 +62,7 @@ def magnus2_increment(
 ) -> np.ndarray:
     """Order 2: W_k = h A(t_k + h/2), i.e. w = h b(t_k + h/2).  h > 0 is
     not checked here: it comes from _time_grid."""
-    return h * coeffs.values(t_k + 0.5 * h)
+    return h * np.array(coeffs.values(t_k + 0.5 * h))
 
 
 def magnus4_increment(
@@ -79,8 +73,8 @@ def magnus4_increment(
     h A + h^3 (A''/24 - [A, A'/12]) at t+h/2.  h > 0 is not checked here:
     it comes from _time_grid."""
     t_half = t_k + 0.5 * h
-    b = _floats(coeffs.funcs, t_half, "value")
-    d1, d2 = coeffs._derivative_floats(t_half)
+    b = coeffs.values(t_half)
+    d1, d2 = coeffs.derivatives(t_half)
     ad = basis.bracket(b, [x / 12.0 for x in d1])
     return np.array([h * x + h ** 3 * (y / 24.0 - z) for x, y, z in zip(b, d2, ad)])
 
@@ -105,11 +99,11 @@ def rkmk_increment(
         # truncated at 2 = p - 2: all that an order-p = 4 tableau needs
         return _dexpinv_series(lambda v: basis.bracket(theta, v), b, 2)
 
-    f1 = _floats(coeffs.funcs, t_k, "value")
-    b_half = _floats(coeffs.funcs, t_k + 0.5 * h, "value")
+    f1 = coeffs.values(t_k)
+    b_half = coeffs.values(t_k + 0.5 * h)
     f2 = stage([h * (0.5 * x) for x in f1], b_half)
     f3 = stage([h * (0.5 * x) for x in f2], b_half)
-    f4 = stage([h * x for x in f3], _floats(coeffs.funcs, t_k + h, "value"))
+    f4 = stage([h * x for x in f3], coeffs.values(t_k + h))
     # numpy's weighted sum: summed in Python the last bits of w change
     return h * (_RK4_WEIGHTS @ np.array((f1, f2, f3, f4)))
 
@@ -158,24 +152,28 @@ def _group_steps(
     y = np.eye(basis.n)
     # the increments and the coefficients get Python floats: numpy scalars
     # make their arithmetic slower
-    for k, t in enumerate(times[:-1].tolist()):
-        try:
-            w = increment(basis, coeffs, t, h)
-        except OverflowError as err:  # magnus4's h ** 3 for h >~ 5.6e102
-            raise NonFiniteStateError(
-                f"non-finite increment at step {k} (t={t:g})", step=k
-            ) from err
-        try:
-            e = mat_exp(basis.element(w))
-            y = e @ y
-            if not np.isfinite(y).all():
-                raise FloatingPointError("Y overflows")
-        except (FloatingPointError, ValueError) as err:
-            # mat_exp raises ValueError for a W_k whose increment overflowed
-            raise NonFiniteStateError(
-                f"non-finite group element at step {k} (t={t:g})", step=k
-            ) from err
-        yield e, y
+    try:
+        for k, t in enumerate(times[:-1].tolist()):
+            try:
+                w = increment(basis, coeffs, t, h)
+            except OverflowError as err:  # magnus4's h ** 3 for h >~ 5.6e102
+                raise NonFiniteStateError(
+                    f"non-finite increment at step {k} (t={t:g})", step=k
+                ) from err
+            try:
+                e = mat_exp(basis.element(w))
+                y = e @ y
+                if not np.isfinite(y).all():
+                    raise FloatingPointError("Y overflows")
+            except (FloatingPointError, ValueError) as err:
+                # mat_exp raises ValueError for a W_k whose increment overflowed
+                raise NonFiniteStateError(
+                    f"non-finite group element at step {k} (t={t:g})", step=k
+                ) from err
+            yield e, y
+    finally:
+        # a failed solve's traceback keeps this frame
+        del times
 
 
 def _record(times: np.ndarray, x0: np.ndarray, steps: Iterator[np.ndarray]) -> Trajectory:
@@ -213,7 +211,10 @@ def integrate_group(
     _check_arity(basis, coeffs)
     h, times = _time_grid(t0, t1, n_steps)
     steps = (y for _, y in _group_steps(basis, coeffs, config, h, times))
-    return _record(times, np.eye(basis.n), steps)
+    try:
+        return _record(times, np.eye(basis.n), steps)
+    finally:
+        del times  # a failed solve's traceback keeps this frame
 
 
 def _slope(f, t: float, y: np.ndarray, size: int) -> list:

@@ -129,7 +129,10 @@ def solve(
                 raise NonFiniteStateError(f"non-finite state at step {k} (t={times[k]:g})", step=k)
             yield x
 
-    return _record(times, x, steps(x))
+    try:
+        return _record(times, x, steps(x))
+    finally:
+        del times  # a failed solve's traceback keeps this frame and steps', which share it
 
 
 @np.errstate(over="ignore", invalid="ignore")  # rk4_direct_step checks x is finite
@@ -154,7 +157,10 @@ def solve_direct_rk4(
                 raise NonFiniteStateError(msg, step=k) from err
             yield x
 
-    return _record(times, x, steps(x))
+    try:
+        return _record(times, x, steps(x))
+    finally:
+        del times  # a failed solve's traceback keeps this frame and steps', which share it
 
 
 def global_error(traj: Trajectory, reference: Trajectory) -> float:

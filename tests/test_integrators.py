@@ -115,7 +115,7 @@ def test_rkmk_first_stage_is_field_at_tk():
         (lambda t, f=f: f(t) if t == 3.0 else 0.0) for f in bench.funcs
     ))
     w = rkmk_increment(basis, coeffs, 3.0, 0.1)
-    assert np.allclose(w, 0.1 / 6.0 * bench.values(3.0), rtol=1e-15, atol=0.0)
+    assert np.allclose(w, 0.1 / 6.0 * np.array(bench.values(3.0)), rtol=1e-15, atol=0.0)
 
 
 def test_rkmk_abelian_matches_scalar_rk4_quadrature():
@@ -384,6 +384,21 @@ def test_magnus4_matches_matrix_formula(coordinate_system, analytic):
         expected = h * a + h ** 3 * (d2 / 24.0 - commutator(a, d1 / 12.0))
         w = magnus4_increment(basis, coeffs, t_k, h)
         assert relative_error(basis.element(w), expected) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "increment", [magnus2_increment, magnus4_increment], ids=["magnus2", "magnus4"]
+)
+def test_magnus_increments_are_time_symmetric(coordinate_system, increment):
+    # both Magnus methods are symmetric: the step from t + h back by -h
+    # undoes the step from t, w(t, h) = -w(t + h, -h), up to the rounding
+    # of the midpoint.  RKMK on the RK4 tableau is not symmetric.
+    basis, coeffs = coordinate_system
+    for t in (0.3, 1.0, 3.0):
+        for h in (0.1, 0.01, 1e-3):
+            w = increment(basis, coeffs, t, h)
+            back = increment(basis, coeffs, t + h, -h)
+            assert np.linalg.norm(w + back) <= 2e-15 * np.linalg.norm(w), (t, h)
 
 
 # The classical RK4 tableau (a, b, c), the one rkmk_increment runs.

@@ -195,8 +195,8 @@ def test_solve_transports_up_to_group_overflow():
 
 def _long_arrays_on_traceback(err):
     """Names of the frame locals, and attributes of locals, on the
-    tracebacks of err and of its causes that are arrays of two or more
-    dimensions with more than err.step + 1 rows."""
+    tracebacks of err and of its causes that are arrays with more than
+    err.step + 1 rows: the (N+1,) time grid as well as the points."""
     found = []
     exc = err
     while exc is not None:
@@ -207,7 +207,7 @@ def _long_arrays_on_traceback(err):
                 attrs = getattr(value, "__dict__", {})
                 pairs = [(name, value)] + [(f"{name}.{a}", v) for a, v in attrs.items()]
                 for label, v in pairs:
-                    if isinstance(v, np.ndarray) and v.ndim >= 2 and len(v) > err.step + 1:
+                    if isinstance(v, np.ndarray) and v.ndim >= 1 and len(v) > err.step + 1:
                         found.append(f"{frame.f_code.co_name}: {label} {v.shape}")
             tb = tb.tb_next
         exc = exc.__cause__ or exc.__context__

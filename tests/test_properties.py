@@ -1,17 +1,26 @@
 """Property-based tests of the coordinate bracket and the coordinate
 dexp-inverse, over every coordinate_system basis (CK with kappa < 0, = 0,
 > 0 and mixed signs, sl(2) and the abelian diagonal basis), and of the group
-laws of the exponential on the CK algebras in all nine sign classes."""
+laws of the exponential on the CK algebras in all nine sign classes, and
+of the kappa-trigonometry identities for kappa < 0, = 0 and > 0."""
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from liesolve.algebra import MAX_DEXPINV_ORDER, _dexpinv_series, dexpinv
-from liesolve.ckspaces import CKParams, ck_bilinear_form, ck_generators
+from liesolve.ckspaces import (
+    CKParams,
+    ck_bilinear_form,
+    ck_cos,
+    ck_generators,
+    ck_sin,
+    ck_tan,
+    ck_versin,
+)
 from liesolve.matrixcore import commutator, mat_exp
 
 # The coordinate_system fixture only builds immutable bases, so sharing it
@@ -116,3 +125,49 @@ def test_exp_preserves_the_ck_bilinear_form(signs, mags, w):
     ck, a = _ck_element(signs, mags, w)
     g, ik = mat_exp(a), ck_bilinear_form(ck)
     assert _norm(g.T @ ik @ g - ik) <= 1e-14 * _norm(g) ** 2 * _norm(ik)
+
+
+# kappa-trigonometry: C = ck_cos, S = ck_sin.  E = C^2 + |kappa| S^2 is
+# cosh(2 sqrt(-kappa) lam) for kappa < 0 and 1 otherwise; it bounds C^2,
+# |kappa| S^2 and 1 - C, and |lam| E bounds S C and S(2 lam) / 2.
+_angle = st.floats(-3.0, 3.0)
+
+
+def _trig(sign, mag, lam):
+    kappa = sign * mag
+    c, s = ck_cos(kappa, lam), ck_sin(kappa, lam)
+    return kappa, c, s, c * c + abs(kappa) * s * s
+
+
+@pytest.mark.parametrize("sign", (-1, 0, 1))
+@properties
+@given(mag=_curvature, lam=_angle)
+def test_ck_trig_pythagorean_identity(sign, mag, lam):
+    kappa, c, s, e = _trig(sign, mag, lam)
+    assert abs(c * c + kappa * s * s - 1.0) <= 4e-15 * e
+
+
+@pytest.mark.parametrize("sign", (-1, 0, 1))
+@properties
+@given(mag=_curvature, lam=_angle)
+def test_ck_versine_is_one_minus_cosine_over_kappa(sign, mag, lam):
+    kappa, c, _, e = _trig(sign, mag, lam)
+    assert abs(kappa * ck_versin(kappa, lam) - (1.0 - c)) <= 4e-15 * e
+
+
+@pytest.mark.parametrize("sign", (-1, 0, 1))
+@properties
+@given(mag=_curvature, lam=_angle)
+def test_ck_sine_double_angle(sign, mag, lam):
+    kappa, c, s, e = _trig(sign, mag, lam)
+    assert abs(ck_sin(kappa, 2.0 * lam) - 2.0 * s * c) <= 4e-15 * abs(lam) * e
+
+
+@pytest.mark.parametrize("sign", (-1, 0, 1))
+@properties
+@given(mag=_curvature, lam=_angle)
+def test_ck_tangent_is_sine_over_cosine(sign, mag, lam):
+    kappa, c, s, _ = _trig(sign, mag, lam)
+    assume(abs(c) >= 1e-3)  # away from the poles C = 0 of kappa > 0
+    t = ck_tan(kappa, lam)
+    assert abs(t - s / c) <= 4e-15 * abs(t)
