@@ -4,8 +4,9 @@ truncated dexp-inverse series.
 An algebra element sum_a w_a M_a is held as its coordinate vector w; the
 basis turns w into the n x n matrix (element) and brackets coordinate
 vectors as Python floats through its nonzero structure constants (bracket),
-so that dexp-inverse runs on r-vectors too."""
+so that dexp-inverse runs on r-vectors too (dexpinv2)."""
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -37,7 +38,14 @@ def _check_generators(gens) -> None:
 @dataclass(frozen=True)
 class AlgebraBasis:
     """Ordered basis M_1..M_r of a matrix Lie algebra with its structure
-    constants c[a][b][g], so that [M_a, M_b] = sum_g c[a][b][g] M_g."""
+    constants c[a][b][g], so that [M_a, M_b] = sum_g c[a][b][g] M_g.
+
+    Two float kernels on coordinate lists are set per basis:
+    bracket(u, v) returns the coordinates of [u, v], and dexpinv2(theta, v)
+    those of v - [theta, v]/2 + [theta, [theta, v]]/12, the dexp-inverse
+    series truncated at order 2 (an RKMK stage).  Both return lists of
+    Python floats, rounded exactly as _dexpinv_series over the loop
+    out[g] += c[a][b][g] * u[a] * v[b] in np.argwhere order."""
 
     generators: tuple
     structure_constants: np.ndarray
@@ -68,9 +76,18 @@ class AlgebraBasis:
         if np.linalg.matrix_rank(v, tol=1e-12 * max(1.0, np.abs(v).max())) < r:
             raise ValueError("generators are linearly dependent")
         object.__setattr__(self, "_flat_generators", v)
-        # (a, b, g, c[a][b][g]) over the nonzero constants: 6 on CK, 0 if abelian
-        terms = tuple((a, b, g, c[a, b, g].item()) for a, b, g in np.argwhere(c).tolist())
-        object.__setattr__(self, "_bracket_terms", terms)
+        # the (a, b, g) of the nonzero constants: 6 on CK, none if abelian
+        pattern = tuple(map(tuple, np.argwhere(c).tolist()))
+        make = _compile_kernels(r, pattern)
+        constants = [c[abg].item() for abg in pattern]
+        bracket, dexpinv2 = make(*constants, _DEXPINV_COEFFS[1], _DEXPINV_COEFFS[2])
+        object.__setattr__(self, "bracket", bracket)
+        object.__setattr__(self, "dexpinv2", dexpinv2)
+
+    def __reduce__(self):
+        # the kernels are closures, which pickle cannot store: the copy is
+        # built again from the two fields
+        return type(self), (self.generators, self.structure_constants)
 
     @property
     def r(self) -> int:
@@ -83,13 +100,6 @@ class AlgebraBasis:
     def element(self, w: np.ndarray) -> np.ndarray:
         """The matrix sum_a w_a M_a of the coordinate vector w."""
         return (w @ self._flat_generators).reshape(self.n, self.n)
-
-    def bracket(self, u, v) -> list:
-        """The coordinates of [u, v] as a list of Python floats."""
-        out = [0.0] * self.r
-        for a, b, g, c in self._bracket_terms:
-            out[g] += c * u[a] * v[b]
-        return out
 
     @classmethod
     def from_generators(cls, generators: Sequence[np.ndarray]) -> "AlgebraBasis":
@@ -111,6 +121,59 @@ class AlgebraBasis:
             for b in range(r):
                 c[a, b] = np.linalg.lstsq(v, brackets[a][b], rcond=None)[0]
         return cls(tuple(gens), c)
+
+
+def _kernel_source(r: int, pattern: tuple) -> str:
+    """Source of make(c0, .., b1, b2), which binds a basis's constants
+    c_k = c[a][b][g] at pattern[k] = (a, b, g) and the series coefficients
+    b1 = -1/2, b2 = 1/12 into its two kernels, bracket and dexpinv2.
+
+    Each out[g] is 0.0 + c_k u[a] v[b] + ... over pattern in order, with
+    (c_k u[a]) v[b] as the product, as in the loop it replaces; dexpinv2
+    forms k_k = c_k theta[a] once for both of its brackets."""
+
+    def unpack(x):
+        return ", ".join(f"{x}{i}" for i in range(r)) + f", = {x}"
+
+    def sums(term):
+        rows = [["0.0"] for _ in range(r)]
+        for k, (a, b, g) in enumerate(pattern):
+            rows[g].append(term(k, a, b))
+        return [" + ".join(row) for row in rows]
+
+    bracket = sums(lambda k, a, b: f"c{k}*u{a}*v{b}")
+    p = sums(lambda k, a, b: f"k{k}*v{b}")
+    q = sums(lambda k, a, b: f"k{k}*p{b}")
+    params = [f"c{k}" for k in range(len(pattern))] + ["b1", "b2"]
+    lines = [
+        f"def make({', '.join(params)}):",
+        "    def bracket(u, v):",
+        f"        {unpack('u')}",
+        f"        {unpack('v')}",
+        f"        return [{', '.join(bracket)}]",
+        "",
+        "    def dexpinv2(t, v):",
+        f"        {unpack('t')}",
+        f"        {unpack('v')}",
+        *(f"        k{k} = c{k}*t{a}" for k, (a, _, _) in enumerate(pattern)),
+        *(f"        p{g} = {x}" for g, x in enumerate(p)),
+        *(f"        q{g} = {x}" for g, x in enumerate(q)),
+        f"        return [{', '.join(f'(v{g} + b1*p{g}) + b2*q{g}' for g in range(r))}]",
+        "",
+        "    return bracket, dexpinv2",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+@functools.cache
+def _compile_kernels(r: int, pattern: tuple):
+    """make for the sparsity pattern (see _kernel_source), compiled once per
+    (r, pattern): straight-line code, because at r = 3 a call and a loop
+    step cost more than the arithmetic.  Each basis binds its own constants."""
+    namespace = {"__name__": __name__}
+    filename = f"<liesolve.algebra kernels, r={r}, {len(pattern)} constants>"
+    exec(compile(_kernel_source(r, pattern), filename, "exec"), namespace)
+    return namespace["make"]
 
 
 @dataclass(frozen=True)
@@ -143,19 +206,27 @@ class CoefficientSet:
         """(b'(t), b''(t)) as two lists of Python floats, analytic where
         derivatives were supplied and central differences of values
         otherwise: the five-point stencil for b', the three-point one for
-        b'', with step max(1e-4, 1e-4 |t|)."""
+        b'', with step max(1e-4, 1e-4 |t|).  Only the stencils of missing
+        derivatives are evaluated and checked, with values in increasing t:
+        at t - 2h, t - h, t, t + h, t + 2h for both, at t - h, t, t + h for
+        b'' alone and at t - 2h, t - h, t + h, t + 2h for b' alone."""
+        fd1 = fd2 = []
         if self.d1 is None or self.d2 is None:
             # the step balances truncation against round-off at double
             # precision for smooth coefficients
             h = max(1e-4, 1e-4 * abs(t))
-            fm2, fm1, f0, fp1, fp2 = (
-                _floats(self.funcs, s, "value") for s in (t - 2 * h, t - h, t, t + h, t + 2 * h)
-            )
-            fd1 = [
-                (-p2 + 8.0 * p1 - 8.0 * m1 + m2) / (12.0 * h)
-                for m2, m1, p1, p2 in zip(fm2, fm1, fp1, fp2)
-            ]
-            fd2 = [(p1 - 2.0 * x + m1) / (h * h) for m1, x, p1 in zip(fm1, f0, fp1)]
+            fm2 = _floats(self.funcs, t - 2 * h, "value") if self.d1 is None else None
+            fm1 = _floats(self.funcs, t - h, "value")
+            f0 = _floats(self.funcs, t, "value") if self.d2 is None else None
+            fp1 = _floats(self.funcs, t + h, "value")
+            fp2 = _floats(self.funcs, t + 2 * h, "value") if self.d1 is None else None
+            if self.d1 is None:
+                fd1 = [
+                    (-p2 + 8.0 * p1 - 8.0 * m1 + m2) / (12.0 * h)
+                    for m2, m1, p1, p2 in zip(fm2, fm1, fp1, fp2)
+                ]
+            if self.d2 is None:
+                fd2 = [(p1 - 2.0 * x + m1) / (h * h) for m1, x, p1 in zip(fm1, f0, fp1)]
             if not all(map(math.isfinite, fd1 + fd2)):
                 raise ValueError(f"non-finite derivative estimate at t={t}")
         d1 = fd1 if self.d1 is None else _floats(self.d1, t, "derivative")

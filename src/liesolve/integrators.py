@@ -3,9 +3,10 @@ the group recursion Y_{k+1} = exp(W_k) Y_k, and a plain RK4 baseline.
 
 The increments are computed in algebra coordinates: each returns the
 coefficient vector w of W_k.  Magnus-4 and RKMK run their stages on Python
-float lists, with brackets through the nonzero structure constants
-(AlgebraBasis.bracket) and dexp-inverse on r-vectors.  _group_steps is the
-one place where w becomes the group element exp(AlgebraBasis.element(w))."""
+float lists, through the basis's compiled kernels: the bracket
+(AlgebraBasis.bracket) and the order-2 dexp-inverse on r-vectors
+(AlgebraBasis.dexpinv2).  _group_steps is the one place where w becomes the
+group element exp(AlgebraBasis.element(w))."""
 
 import math
 import operator
@@ -14,7 +15,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .algebra import AlgebraBasis, CoefficientSet, _check_arity, _dexpinv_series
+from .algebra import AlgebraBasis, CoefficientSet, _check_arity
 from .matrixcore import mat_exp
 
 GEOMETRIC_METHODS = ("magnus2", "magnus4", "rkmk")
@@ -90,15 +91,11 @@ def rkmk_increment(
     F_l = dexpinv(T_l, b(t_k + c_l h)) with T_l = h F_1/2, h F_2/2, h F_3
     at c_l = 1/2, 1/2, 1, and w = h (F_1 + 2 F_2 + 2 F_3 + F_4) / 6.
 
-    Runs its stages on coordinate lists of Python floats, with
-    dexpinv(T, v) = sum_i (B_i / i!) ad_T^i (v) through AlgebraBasis.bracket,
-    and evaluates b once each at t_k, t_k + h/2 and t_k + h.  h > 0 is not
-    checked here: it comes from _time_grid."""
-
-    def stage(theta: list, b: list) -> list:
-        # truncated at 2 = p - 2: all that an order-p = 4 tableau needs
-        return _dexpinv_series(lambda v: basis.bracket(theta, v), b, 2)
-
+    Runs its stages on coordinate lists of Python floats, with dexpinv
+    truncated at 2 = p - 2, all that an order-p = 4 tableau needs
+    (AlgebraBasis.dexpinv2), and evaluates b once each at t_k, t_k + h/2
+    and t_k + h.  h > 0 is not checked here: it comes from _time_grid."""
+    stage = basis.dexpinv2
     f1 = coeffs.values(t_k)
     b_half = coeffs.values(t_k + 0.5 * h)
     f2 = stage([h * (0.5 * x) for x in f1], b_half)

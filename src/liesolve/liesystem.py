@@ -110,7 +110,8 @@ def solve(
 
     The first failing step k raises the action's own ActionDomainError,
     subtype kept (outside the action's domain), or NonFiniteStateError (Y
-    or x blew up), with step=k and the trajectory up to t_k."""
+    or x blew up), with step=k and the trajectory up to t_k.  A ValueError
+    of the action keeps its type and names step k and t_k in its message."""
     x = _initial_point(x0)
     if x.shape != (sys.dim,):
         raise ValueError(f"initial point must have dimension {sys.dim}")
@@ -124,6 +125,11 @@ def solve(
                 # the same object, so that a subtype such as CoordinateChartError survives
                 err.args = (f"group action undefined at step {k} (t={times[k]:g}): {err}",)
                 err.step = k
+                raise
+            except ValueError as err:
+                # e.g. an extractor that returns another count of coordinates
+                # than there are flows; the same object, type kept
+                err.args = (f"group action failed at step {k} (t={times[k]:g}): {err}",)
                 raise
             if not np.isfinite(x).all():
                 raise NonFiniteStateError(f"non-finite state at step {k} (t={times[k]:g})", step=k)

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import warnings
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ import pytest
 from liesolve.algebra import (
     AlgebraBasis,
     CoefficientSet,
+    _compile_kernels,
     assemble_A,
     dexpinv,
 )
@@ -282,6 +285,33 @@ def test_element_and_ad_match_commutator(coordinate_system):
         assert np.linalg.norm(got - expected) <= 1e-13 * max(np.linalg.norm(expected), 1.0)
 
 
+def test_kernels_are_compiled_once_per_sparsity_pattern():
+    # every CK basis with nonzero kappa has the same six nonzero constants:
+    # one compiled kernel, bound to each basis's own constants
+    rng = np.random.default_rng(4)
+    kappas = rng.uniform(0.1, 2.0, (200, 2)) * rng.choice((-1.0, 1.0), (200, 2))
+    misses = _compile_kernels.cache_info().misses
+    bases = [ck_generators(CKParams(*k)) for k in kappas.tolist()]
+    assert _compile_kernels.cache_info().misses - misses <= 1
+    assert len({b.bracket.__code__ for b in bases}) == 1
+    assert len({b.dexpinv2.__code__ for b in bases}) == 1
+    # the constants differ: [P1, P2] = -kappa1 J12
+    for basis, (k1, _) in zip(bases[:5], kappas.tolist()):
+        assert basis.bracket([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]) == [0.0, 0.0, -k1]
+    # the generated code names this module in tracebacks
+    assert bases[0].bracket.__module__ == "liesolve.algebra"
+    assert "liesolve.algebra" in bases[0].bracket.__code__.co_filename
+
+
+def test_basis_pickle_and_deepcopy_keep_the_kernels(coordinate_system):
+    basis, _ = coordinate_system
+    u, v = np.random.default_rng(6).normal(size=(2, basis.r)).tolist()
+    for copied in (pickle.loads(pickle.dumps(basis)), copy.deepcopy(basis), copy.copy(basis)):
+        assert np.array_equal(copied.structure_constants, basis.structure_constants)
+        assert copied.bracket(u, v) == basis.bracket(u, v)
+        assert copied.dexpinv2(u, v) == basis.dexpinv2(u, v)
+
+
 def test_coefficient_derivatives_analytic_and_finite_difference(coordinate_system):
     _, coeffs = coordinate_system
     t = 0.7
@@ -327,6 +357,38 @@ def test_finite_difference_derivatives_match_numpy_stencil():
         assert calls == list(points)
         assert np.array_equal(d1, (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h))
         assert np.array_equal(d2, (fp1 - 2.0 * f0 + fm1) / (h * h))
+
+
+def test_one_missing_derivative_evaluates_only_its_stencil():
+    # with b' given, b'' takes three value calls; with b'' given, b' takes
+    # four; the both-missing case keeps its five (see the test above)
+    calls = []
+
+    def cubic(t):
+        calls.append(t)
+        return t ** 3 - 2.0 * t
+
+    both = CoefficientSet(funcs=(cubic,))
+    for t in (0.0, 0.7, -250.0):
+        h = max(1e-4, 1e-4 * abs(t))
+        fd1, fd2 = both.derivatives(t)
+        calls.clear()
+        _, d2 = CoefficientSet(funcs=(cubic,), d1=(lambda t: 3.0 * t * t - 2.0,)).derivatives(t)
+        assert calls == [t - h, t, t + h]
+        assert d2 == fd2
+        calls.clear()
+        d1, _ = CoefficientSet(funcs=(cubic,), d2=(lambda t: 6.0 * t,)).derivatives(t)
+        assert calls == [t - 2 * h, t - h, t + h, t + 2 * h]
+        assert d1 == fd1
+
+
+def test_an_unused_stencil_is_not_checked():
+    # b' = 0 is given, so the b' stencil of b = 5e307, whose 8 b(t + h)
+    # overflows, is neither evaluated nor checked; b'' = 0 exactly
+    coeffs = CoefficientSet(funcs=(lambda t: 5e307,), d1=(lambda t: 0.0,))
+    assert coeffs.derivatives(1.0) == ([0.0], [0.0])
+    with pytest.raises(ValueError, match=r"non-finite derivative estimate at t=1\.0"):
+        CoefficientSet(funcs=(lambda t: 5e307,), d2=(lambda t: 0.0,)).derivatives(1.0)
 
 
 def test_finite_difference_derivatives_reject_overflow():

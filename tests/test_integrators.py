@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from liesolve.algebra import AlgebraBasis, CoefficientSet
+from liesolve import integrators
+from liesolve.algebra import AlgebraBasis, CoefficientSet, _dexpinv_series
 from liesolve.benchmarks import ck_benchmark_coefficients, limit_cycle_system, riccati_rhs
 from liesolve.ckspaces import CKParams, ck_generators, ck_lie_system
 from liesolve.integrators import (
@@ -18,6 +19,7 @@ from liesolve.integrators import (
     rk4_direct_step,
     rkmk_increment,
 )
+from liesolve.liesystem import solve
 from liesolve.matrixcore import commutator, mat_exp
 
 
@@ -432,3 +434,65 @@ def test_rkmk_matches_matrix_formula(coordinate_system, table):
         expected = rkmk_matrix_reference(basis, coeffs, table, 2, t_k, h)
         w = rkmk_increment(basis, coeffs, t_k, h)
         assert relative_error(basis.element(w), expected) <= 1e-13, (t_k, h)
+
+
+def _loop_bracket(basis, u, v):
+    # the loop over the nonzero structure constants that AlgebraBasis's
+    # compiled bracket replaced
+    c = basis.structure_constants
+    out = [0.0] * basis.r
+    for a, b, g in np.argwhere(c).tolist():
+        out[g] += c[a, b, g].item() * u[a] * v[b]
+    return out
+
+
+def rkmk_series_reference(basis, coeffs, t_k, h):
+    """rkmk_increment with its stages through _dexpinv_series and the loop
+    bracket, as before the compiled kernels."""
+
+    def stage(theta, b):
+        return _dexpinv_series(lambda v: _loop_bracket(basis, theta, v), b, 2)
+
+    f1 = coeffs.values(t_k)
+    b_half = coeffs.values(t_k + 0.5 * h)
+    f2 = stage([h * (0.5 * x) for x in f1], b_half)
+    f3 = stage([h * (0.5 * x) for x in f2], b_half)
+    f4 = stage([h * x for x in f3], coeffs.values(t_k + h))
+    return h * (_RK4_WEIGHTS @ np.array((f1, f2, f3, f4)))
+
+
+def magnus4_loop_reference(basis, coeffs, t_k, h):
+    """magnus4_increment with the loop bracket."""
+    t_half = t_k + 0.5 * h
+    b = coeffs.values(t_half)
+    d1, d2 = coeffs.derivatives(t_half)
+    ad = _loop_bracket(basis, b, [x / 12.0 for x in d1])
+    return np.array([h * x + h ** 3 * (y / 24.0 - z) for x, y, z in zip(b, d2, ad)])
+
+
+_CK_SIGN_CLASSES = [(s1 * 0.8, s2 * 0.5) for s1 in (-1, 0, 1) for s2 in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize(
+    "method, reference",
+    [("rkmk", rkmk_series_reference), ("magnus4", magnus4_loop_reference)],
+    ids=["rkmk", "magnus4"],
+)
+def test_compiled_kernels_keep_solve_points_to_the_bit(monkeypatch, method, reference):
+    # the compiled bracket and order-2 dexp-inverse round exactly as the loop
+    # and the series did: solve's points are equal, not close, on CK in all
+    # nine sign classes (linear and flow-composition actions) and on the
+    # limit cycle, on and inside its unit circle
+    runs = [
+        (ck_lie_system(CKParams(*kappa), ck_benchmark_coefficients(), mode), [1.0, 0.3, 0.2], 3.0)
+        for kappa in _CK_SIGN_CLASSES
+        for mode in ("linear", "flow-composition")
+    ]
+    lc = limit_cycle_system(lambda t: 1.0 + t * t, math.exp)
+    runs += [(lc, x0, 0.0) for x0 in ([0.0, 1.0], [0.3, 0.2])]
+    config = StepperConfig(method)
+    compiled = [solve(system, x0, t0, t0 + 1.0, 40, config).points for system, x0, t0 in runs]
+    monkeypatch.setattr(integrators, f"{method}_increment", reference)
+    for (system, x0, t0), points in zip(runs, compiled):
+        expected = solve(system, x0, t0, t0 + 1.0, 40, config).points
+        assert np.array_equal(points, expected), (system.basis.structure_constants, x0)

@@ -135,6 +135,27 @@ def test_solve_keeps_the_action_error_subtype():
     assert len(err.partial.points) == 1
 
 
+def test_solve_names_the_step_of_an_extractor_count_error():
+    # an extractor that returns 2 of 3 coordinates stopped a solve with a
+    # bare ValueError, without the step or the time
+    system = ck_lie_system(CKParams(0.8, -0.5), ck_benchmark_coefficients(), "flow-composition")
+    flows, chart = system.action.flows, system.action.extract
+    calls = []
+
+    def extract(g):
+        calls.append(g)
+        return chart(g) if len(calls) < 3 else chart(g)[:2]
+
+    system = dataclasses.replace(system, action=GroupAction(flows, extract))
+    with pytest.raises(ValueError) as excinfo:
+        solve(system, [1.0, 1.0, 1.0], 3.0, 4.0, 10, StepperConfig("magnus2"))
+    assert type(excinfo.value) is ValueError
+    assert str(excinfo.value) == (
+        "group action failed at step 2 (t=3.2): "
+        "extracted coordinate count does not match flow count"
+    )
+
+
 class _RecordingAction(GroupAction):
     """The linear action, recording each group element it is handed."""
 
