@@ -35,10 +35,11 @@ def _check_generators(gens) -> None:
         raise ValueError("all generators must share the same square shape")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlgebraBasis:
     """Ordered basis M_1..M_r of a matrix Lie algebra with its structure
     constants c[a][b][g], so that [M_a, M_b] = sum_g c[a][b][g] M_g.
+    Equality and hash go by identity: the fields are arrays.
 
     Two float kernels on coordinate lists are set per basis:
     bracket(u, v) returns the coordinates of [u, v], and dexpinv2(theta, v)

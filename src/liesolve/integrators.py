@@ -5,13 +5,14 @@ The increments are computed in algebra coordinates: each returns the
 coefficient vector w of W_k.  Magnus-4 and RKMK run their stages on Python
 float lists, through the basis's compiled kernels: the bracket
 (AlgebraBasis.bracket) and the order-2 dexp-inverse on r-vectors
-(AlgebraBasis.dexpinv2).  _group_steps is the one place where w becomes the
-group element exp(AlgebraBasis.element(w))."""
+(AlgebraBasis.dexpinv2).  _group_step is the one place where w becomes the
+group element exp(AlgebraBasis.element(w)), and _record, which every solver
+hands its step function, is the one loop over the time grid."""
 
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -125,18 +126,14 @@ def _time_grid(t0: float, t1: float, n_steps: int):
     return h, t0 + h * np.arange(n_steps + 1)
 
 
-def _group_steps(
-    basis: AlgebraBasis, coeffs: CoefficientSet, config: StepperConfig, h: float,
-    times: np.ndarray,
-) -> Iterator[tuple]:
-    """Steps Y from Y_0 = I over the time grid, keeping only the current Y:
-    step k yields (E_k, Y_{k+1}) with E_k = exp(W_k) and Y_{k+1} = E_k Y_k.
+def _group_step(basis: AlgebraBasis, coeffs: CoefficientSet, config: StepperConfig):
+    """The group step of a solve: step(k, t, h) returns E_k = exp(W_k).
 
-    A config that is not a StepperConfig raises TypeError before step 0.
-    A W_k, E_k or Y_{k+1} that is not finite, or an increment that
-    overflows a Python float (OverflowError), raises NonFiniteStateError
-    with step=k; _record attaches the partial trajectory.  A non-finite
-    coefficient keeps its ValueError."""
+    A config that is not a StepperConfig raises TypeError here, before any
+    step.  A W_k or E_k that is not finite, or an increment that overflows
+    a Python float (OverflowError), raises NonFiniteStateError; _record
+    attaches the step and the partial trajectory.  A non-finite coefficient
+    keeps its ValueError."""
     if not isinstance(config, StepperConfig):
         raise TypeError(f"config must be a StepperConfig, got {config!r}")
     # the kernels are looked up here, as module globals, when the solve
@@ -146,52 +143,47 @@ def _group_steps(
         "magnus4": magnus4_increment,
         "rkmk": rkmk_increment,
     }[config.method]
-    y = np.eye(basis.n)
-    # the increments and the coefficients get Python floats: numpy scalars
-    # make their arithmetic slower
-    try:
-        for k, t in enumerate(times[:-1].tolist()):
-            try:
-                w = increment(basis, coeffs, t, h)
-            except OverflowError as err:  # magnus4's h ** 3 for h >~ 5.6e102
-                raise NonFiniteStateError(
-                    f"non-finite increment at step {k} (t={t:g})", step=k
-                ) from err
-            try:
-                e = mat_exp(basis.element(w))
-                y = e @ y
-                if not np.isfinite(y).all():
-                    raise FloatingPointError("Y overflows")
-            except (FloatingPointError, ValueError) as err:
-                # mat_exp raises ValueError for a W_k whose increment overflowed
-                raise NonFiniteStateError(
-                    f"non-finite group element at step {k} (t={t:g})", step=k
-                ) from err
-            yield e, y
-    finally:
-        # a failed solve's traceback keeps this frame
-        del times
+
+    def step(k: int, t: float, h: float) -> np.ndarray:
+        try:
+            w = increment(basis, coeffs, t, h)
+        except OverflowError as err:  # magnus4's h ** 3 for h >~ 5.6e102
+            raise NonFiniteStateError(f"non-finite increment at step {k} (t={t:g})") from err
+        try:
+            return mat_exp(basis.element(w))
+        except (FloatingPointError, ValueError) as err:
+            # mat_exp raises ValueError for a W_k whose increment overflowed
+            raise NonFiniteStateError(f"non-finite group element at step {k} (t={t:g})") from err
+
+    return step
 
 
-def _record(times: np.ndarray, x0: np.ndarray, steps: Iterator[np.ndarray]) -> Trajectory:
-    """One row per time: x0, then each state that steps yields.  A
-    _StepError with step=k is re-raised with the trajectory up to t_k.
-    steps runs as it is pulled here, under the calling solver's np.errstate."""
+def _record(x0: np.ndarray, t0: float, t1: float, n_steps: int, step) -> Trajectory:
+    """The one stepping loop: x_{k+1} = step(k, t_k, h, x_k) over the grid
+    of _time_grid(t0, t1, n_steps), one row per time from x0.
+
+    An error at step k leaves with the trajectory cut to rows 0..k; a
+    _StepError also gets step=k and that trajectory as its partial.  The
+    steps run under the calling solver's np.errstate."""
+    h, times = _time_grid(t0, t1, n_steps)
     points = np.empty((len(times),) + x0.shape)
-    points[0] = x0
+    points[0] = x = x0
+    k = 0
     try:
-        for k, x in enumerate(steps, 1):
-            points[k] = x
-    except _StepError as err:
+        # the steps get Python floats: numpy scalars make their arithmetic slower
+        for k, t in enumerate(times[:-1].tolist()):
+            points[k + 1] = x = step(k, t, h, x)
+    except BaseException as err:
         # copies of rows 0..k: this frame, kept by the traceback, drops the full buffers
-        k = err.step
         times, points = times[: k + 1].copy(), points[: k + 1].copy()
-        err.partial = Trajectory(times, points)
+        if isinstance(err, _StepError):
+            err.step = k
+            err.partial = Trajectory(times, points)
         raise
     return Trajectory(times, points)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # _group_steps checks Y is finite
+@np.errstate(over="ignore", invalid="ignore")  # the step checks Y is finite
 def integrate_group(
     basis: AlgebraBasis,
     coeffs: CoefficientSet,
@@ -201,17 +193,21 @@ def integrate_group(
     n_steps: int,
 ) -> Trajectory:
     """Fixed-step solve of dY/dt = A(t) Y from Y_0 = I via
-    Y_{k+1} = exp(W_k) Y_k; the one solver that stores every Y_k, as points.
+    Y_{k+1} = exp(W_k) Y_k; the one solver that forms the Y_k, stored as points.
 
     A Y_{k+1} that is not finite raises NonFiniteStateError with step=k and
     the group trajectory up to t_k."""
     _check_arity(basis, coeffs)
-    h, times = _time_grid(t0, t1, n_steps)
-    steps = (y for _, y in _group_steps(basis, coeffs, config, h, times))
-    try:
-        return _record(times, np.eye(basis.n), steps)
-    finally:
-        del times  # a failed solve's traceback keeps this frame
+    group_step = _group_step(basis, coeffs, config)
+
+    def step(k, t, h, y):
+        y = group_step(k, t, h) @ y
+        if not np.isfinite(y).all():
+            msg = f"non-finite group element at step {k} (t={t:g})"
+            raise NonFiniteStateError(msg) from FloatingPointError("Y overflows")
+        return y
+
+    return _record(np.eye(basis.n), t0, t1, n_steps, step)
 
 
 def _slope(f, t: float, y: np.ndarray, size: int) -> list:

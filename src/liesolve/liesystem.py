@@ -1,7 +1,7 @@
 """Lie systems and their geometric solver.  Each step of solve makes the
-group step E_k = exp(W_k), Y_{k+1} = E_k Y_k, then moves the point with the
-group action, x_{k+1} = phi(E_k, x_k); the run ends at the first step that
-fails.
+group step E_k = exp(W_k), then moves the point with the group action,
+x_{k+1} = phi(E_k, x_k); the run ends at the first step that fails.  solve
+never forms Y_k: only integrate_group does.
 
 The incremental update is the reading consistent with the cumulative form
 x(t) = phi(Y(t), x0) and with Y_{k+1} = E_k Y_k; both paths are cross-checked
@@ -18,10 +18,9 @@ from .integrators import (
     NonFiniteStateError,
     StepperConfig,
     Trajectory,
-    _group_steps,
+    _group_step,
     _record,
     _StepError,
-    _time_grid,
     rk4_direct_step,
 )
 
@@ -95,7 +94,7 @@ def _initial_point(x0) -> np.ndarray:
     return x
 
 
-@np.errstate(over="ignore", invalid="ignore")  # each step checks Y and x are finite
+@np.errstate(over="ignore", invalid="ignore")  # each step checks x is finite
 def solve(
     sys: LieSystemSpec,
     x0: Sequence[float],
@@ -104,41 +103,37 @@ def solve(
     n_steps: int,
     config: StepperConfig,
 ) -> Trajectory:
-    """Geometric solve in one pass: each group step E_k = exp(W_k),
-    Y_{k+1} = E_k Y_k, is followed by x_{k+1} = phi(E_k, x_k).  Only the
-    points are returned; integrate_group gives the Y_k.
+    """Geometric solve in one pass: each group step E_k = exp(W_k) moves
+    the point, x_{k+1} = phi(E_k, x_k).  Only the points are returned;
+    integrate_group gives the Y_k.
 
     The first failing step k raises the action's own ActionDomainError,
-    subtype kept (outside the action's domain), or NonFiniteStateError (Y
+    subtype kept (outside the action's domain), or NonFiniteStateError (E_k
     or x blew up), with step=k and the trajectory up to t_k.  A ValueError
     of the action keeps its type and names step k and t_k in its message."""
     x = _initial_point(x0)
     if x.shape != (sys.dim,):
         raise ValueError(f"initial point must have dimension {sys.dim}")
-    h, times = _time_grid(t0, t1, n_steps)
+    group_step = _group_step(sys.basis, sys.coeffs, config)
 
-    def steps(x):
-        for k, (e, _) in enumerate(_group_steps(sys.basis, sys.coeffs, config, h, times)):
-            try:
-                x = sys.action.act(e, x)
-            except ActionDomainError as err:
-                # the same object, so that a subtype such as CoordinateChartError survives
-                err.args = (f"group action undefined at step {k} (t={times[k]:g}): {err}",)
-                err.step = k
-                raise
-            except ValueError as err:
-                # e.g. an extractor that returns another count of coordinates
-                # than there are flows; the same object, type kept
-                err.args = (f"group action failed at step {k} (t={times[k]:g}): {err}",)
-                raise
-            if not np.isfinite(x).all():
-                raise NonFiniteStateError(f"non-finite state at step {k} (t={times[k]:g})", step=k)
-            yield x
+    def step(k, t, h, x):
+        e = group_step(k, t, h)
+        try:
+            x = sys.action.act(e, x)
+        except ActionDomainError as err:
+            # the same object, so that a subtype such as CoordinateChartError survives
+            err.args = (f"group action undefined at step {k} (t={t:g}): {err}",)
+            raise
+        except ValueError as err:
+            # e.g. an extractor that returns another count of coordinates
+            # than there are flows; the same object, type kept
+            err.args = (f"group action failed at step {k} (t={t:g}): {err}",)
+            raise
+        if not np.isfinite(x).all():
+            raise NonFiniteStateError(f"non-finite state at step {k} (t={t:g})")
+        return x
 
-    try:
-        return _record(times, x, steps(x))
-    finally:
-        del times  # a failed solve's traceback keeps this frame and steps', which share it
+    return _record(x, t0, t1, n_steps, step)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # rk4_direct_step checks x is finite
@@ -150,23 +145,14 @@ def solve_direct_rk4(
 
     A state that blows up at step k raises NonFiniteStateError with step=k
     and the trajectory up to t_k."""
-    x = _initial_point(x0)
-    h, times = _time_grid(t0, t1, n_steps)
 
-    def steps(x):
-        # the rhs gets Python floats: numpy scalars make its arithmetic slower
-        for k, t in enumerate(times[:-1].tolist()):
-            try:
-                x = rk4_direct_step(sys.rhs, t, h, x)
-            except FloatingPointError as err:
-                msg = f"non-finite RK4 state at step {k} (t={t})"
-                raise NonFiniteStateError(msg, step=k) from err
-            yield x
+    def step(k, t, h, x):
+        try:
+            return rk4_direct_step(sys.rhs, t, h, x)
+        except FloatingPointError as err:
+            raise NonFiniteStateError(f"non-finite RK4 state at step {k} (t={t})") from err
 
-    try:
-        return _record(times, x, steps(x))
-    finally:
-        del times  # a failed solve's traceback keeps this frame and steps', which share it
+    return _record(_initial_point(x0), t0, t1, n_steps, step)
 
 
 def global_error(traj: Trajectory, reference: Trajectory) -> float:

@@ -106,6 +106,17 @@ def test_limit_cycle_partial_past_group_overflow(tmp_path):
         assert len((tmp_path / f"lc_{name}.csv").read_text().splitlines()) == lines
 
 
+def test_limit_cycle_runs_past_group_overflow(tmp_path, capsys):
+    # Y overflows at t = 6.6, but solve never forms Y: a start inside the
+    # circle writes every row to t1 = 7, where it stopped at step 65 before
+    out = tmp_path / "lc.csv"
+    code = main(["limit-cycle", "--x0", "0.5,0", "--t1", "7", "--method", "rkmk",
+                 "--out", str(out)])
+    assert code == 0
+    assert len((tmp_path / "lc_rkmk_h0.1.csv").read_text().splitlines()) == 72
+    assert "partial trajectory" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", [["--h", "0.05"], ["--steps", "20"]])
 def test_limit_cycle_step_options_need_a_method(tmp_path, flag):
     # the three default runs each have their own h; a step option is not

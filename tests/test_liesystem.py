@@ -196,8 +196,10 @@ def assert_partial_owns_rows(partial, step):
         assert array.base is None, name
 
 
-def test_solve_transports_up_to_group_overflow():
-    # Y's second entry is exp(e^t - 1), which overflows at t = 6.6 (step 65)
+def test_solve_runs_past_group_overflow():
+    # Y's second entry is exp(e^t - 1), which overflows at t = 6.6 (step 65).
+    # solve moves the point by each E_k and never forms Y, so only
+    # integrate_group stops there
     system = limit_cycle_system(lambda t: 1.0 + t * t, math.exp)
     config = StepperConfig("rkmk")
     # an escaping start still stops at its earlier action failure
@@ -205,19 +207,25 @@ def test_solve_transports_up_to_group_overflow():
         solve(system, [2.0, 0.0], 0.0, 7.0, 70, config)
     assert excinfo.value.step == 1
     assert_partial_owns_rows(excinfo.value.partial, 1)
-    # a start inside the circle is transported until the group blows up
+    # a start inside the circle runs to t1, its point shrinking to 0 with
+    # the exact solution
+    for method in GEOMETRIC_METHODS:
+        traj = solve(system, [0.5, 0.0], 0.0, 7.0, 70, StepperConfig(method))
+        assert traj.points.shape == (71, 2), method
+        assert np.all(np.isfinite(traj.points)), method
+        assert np.abs(traj.points[traj.times > 6.5]).max() <= 1e-280, method
     with pytest.raises(NonFiniteStateError) as excinfo:
-        solve(system, [0.5, 0.0], 0.0, 7.0, 70, config)
+        integrate_group(system.basis, system.coeffs, config, 0.0, 7.0, 70)
     err = excinfo.value
     assert err.step == 65
     assert np.all(np.isfinite(err.partial.points))
     assert_partial_owns_rows(err.partial, 65)
 
 
-def _long_arrays_on_traceback(err):
+def _long_arrays_on_traceback(err, step):
     """Names of the frame locals, and attributes of locals, on the
     tracebacks of err and of its causes that are arrays with more than
-    err.step + 1 rows: the (N+1,) time grid as well as the points."""
+    step + 1 rows: the (N+1,) time grid as well as the points."""
     found = []
     exc = err
     while exc is not None:
@@ -228,7 +236,7 @@ def _long_arrays_on_traceback(err):
                 attrs = getattr(value, "__dict__", {})
                 pairs = [(name, value)] + [(f"{name}.{a}", v) for a, v in attrs.items()]
                 for label, v in pairs:
-                    if isinstance(v, np.ndarray) and v.ndim >= 1 and len(v) > err.step + 1:
+                    if isinstance(v, np.ndarray) and v.ndim >= 1 and len(v) > step + 1:
                         found.append(f"{frame.f_code.co_name}: {label} {v.shape}")
             tb = tb.tb_next
         exc = exc.__cause__ or exc.__context__
@@ -238,23 +246,58 @@ def _long_arrays_on_traceback(err):
 def test_failed_solves_keep_no_full_length_buffer():
     # the traceback keeps every frame a failed solve went through: none of
     # their locals may still hold the (N+1)-row points buffer (manifold
-    # points, or integrate_group's Y_k)
+    # points, or integrate_group's Y_k), whatever the type of the error
     system = limit_cycle_system(lambda t: 1.0 + t * t, math.exp)
     config = StepperConfig("rkmk")
+    # under the linear action x_k = (1e308 e^{kh}, 1) overflows at step 4105
+    # of h = 1/7000
+    basis = AlgebraBasis((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), np.zeros((2, 2, 2)))
+    coeffs = CoefficientSet(funcs=(lambda t: 1.0, lambda t: 0.0))
+    growing = LieSystemSpec(basis, coeffs, GroupAction(), 2, rhs=None)
+    # b_1 turns nan past t = 3.50005, which rkmk's step 3500 is the first to read
+    late_nan = CoefficientSet(
+        funcs=(lambda t: math.nan if t > 3.50005 else 1.0, lambda t: 0.5, lambda t: 0.1)
+    )
+    ck_nan = ck_lie_system(CKParams(0.8, -0.5), late_nan)
+    # an extractor that returns 2 of 3 coordinates at step 3
+    ck_flows = ck_lie_system(CKParams(0.8, -0.5), ck_benchmark_coefficients(), "flow-composition")
+    flows, chart = ck_flows.action.flows, ck_flows.action.extract
+    calls = []
+
+    def extract(g):
+        calls.append(g)
+        return chart(g) if len(calls) <= 3 else chart(g)[:2]
+
+    ck_flows = dataclasses.replace(ck_flows, action=GroupAction(flows, extract))
+    # name: (run, the failing step of an error that does not carry one)
     runs = {
-        "solve, group overflow": lambda: solve(system, [0.5, 0.0], 0.0, 7.0, 7000, config),
-        "solve, action error": lambda: solve(system, [2.0, 0.0], 0.0, 7.0, 7000, config),
-        "integrate_group": lambda: integrate_group(
-            system.basis, system.coeffs, config, 0.0, 7.0, 7000
+        "solve, state overflow": (
+            lambda: solve(growing, [1e308, 1.0], 0.0, 1.0, 7000, config), None
         ),
-        "solve_direct_rk4": lambda: solve_direct_rk4(system, [2.0, 0.0], 0.0, 7.0, 7000),
+        "solve, action error": (lambda: solve(system, [2.0, 0.0], 0.0, 7.0, 7000, config), None),
+        "integrate_group": (
+            lambda: integrate_group(system.basis, system.coeffs, config, 0.0, 7.0, 7000), None
+        ),
+        "solve_direct_rk4": (
+            lambda: solve_direct_rk4(system, [2.0, 0.0], 0.0, 7.0, 7000), None
+        ),
+        "solve, nan coefficient": (
+            lambda: solve(ck_nan, [1.0, 1.0, 1.0], 3.0, 4.0, 7000, config), 3500
+        ),
+        "solve, extractor count": (
+            lambda: solve(ck_flows, [1.0, 1.0, 1.0], 3.0, 4.0, 7000, config), 3
+        ),
     }
-    for name, run in runs.items():
-        with pytest.raises((NonFiniteStateError, ActionDomainError)) as excinfo:
+    for name, (run, step) in runs.items():
+        with pytest.raises((NonFiniteStateError, ActionDomainError, ValueError)) as excinfo:
             run()
         err = excinfo.value
-        assert 0 < err.step < 6999, name
-        assert _long_arrays_on_traceback(err) == [], name
+        if step is None:
+            step = err.step
+        else:
+            assert type(err) is ValueError, name
+        assert 0 < step < 6999, name
+        assert _long_arrays_on_traceback(err, step) == [], name
 
 
 def test_solvers_reject_a_config_that_is_not_a_stepper_config():
@@ -291,6 +334,19 @@ def test_solve_reports_non_finite_state_step():
         assert err.step == 5
         assert len(err.partial.points) == 6
         assert np.isfinite(err.partial.points).all()
+
+
+def test_basis_and_spec_can_be_compared_and_hashed():
+    # frozen records promise == and hash; a basis compared its arrays and
+    # raised numpy's "truth value ... ambiguous", and hash() a TypeError.
+    # A basis compares by identity, a spec by its fields
+    ck, system = ck_setup()
+    basis = system.basis
+    assert basis == basis
+    assert basis != ck_generators(ck)
+    assert hash(basis) == hash(basis)
+    assert system == dataclasses.replace(system)
+    assert len({system, system, dataclasses.replace(system)}) == 1
 
 
 def test_solve_checks_the_initial_point_dimension():
