@@ -150,16 +150,25 @@ def ck_extract_coords(ck: CKParams, g: np.ndarray):
 
     Reads -g21/g11 (kappa1-tangent), -g31 (kappa1*kappa2-sine) and
     -g32/g33 (kappa2-tangent); only the principal branches, so elements far
-    from the identity are rejected.
+    from the identity are rejected.  A non-finite entry among the five read
+    raises ValueError naming the first of them.
     """
     g = np.asarray(g, dtype=float)
     if g.shape != (3, 3):
         raise ValueError("expected a 3x3 group element")
-    if g[0, 0] <= 0.0 or g[2, 2] <= 0.0:
+    flat = g.ravel().tolist()
+    g11, g21, g31, g32, g33 = flat[0], flat[3], flat[6], flat[7], flat[8]
+    # one check on the sum; a sum of finite entries that overflows passes on
+    if not math.isfinite(g11 + g21 + g31 + g32 + g33):
+        for i, j in ((0, 0), (1, 0), (2, 0), (2, 1), (2, 2)):
+            value = flat[3 * i + j]
+            if not math.isfinite(value):
+                raise ValueError(f"group element entry g[{i}, {j}] = {value} is not finite")
+    if g11 <= 0.0 or g33 <= 0.0:
         raise CoordinateChartError("group element outside the extraction chart")
-    lam1 = _inv_tan(ck.kappa1, -g[1, 0] / g[0, 0])
-    lam2 = _inv_sin(ck.kappa1 * ck.kappa2, -g[2, 0])
-    lam3 = _inv_tan(ck.kappa2, -g[2, 1] / g[2, 2])
+    lam1 = _inv_tan(ck.kappa1, -g21 / g11)
+    lam2 = _inv_sin(ck.kappa1 * ck.kappa2, -g31)
+    lam3 = _inv_tan(ck.kappa2, -g32 / g33)
     return lam1, lam2, lam3
 
 

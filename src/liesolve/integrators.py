@@ -201,7 +201,7 @@ def integrate_group(
     group_step = _group_step(basis, coeffs, config)
 
     def step(k, t, h, y):
-        y = group_step(k, t, h) @ y
+        y = group_step(k, t, h).dot(y)  # ndarray.dot: see mat_exp
         if not np.isfinite(y).all():
             msg = f"non-finite group element at step {k} (t={t:g})"
             raise NonFiniteStateError(msg) from FloatingPointError("Y overflows")

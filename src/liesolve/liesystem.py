@@ -8,6 +8,7 @@ x(t) = phi(Y(t), x0) and with Y_{k+1} = E_k Y_k; both paths are cross-checked
 in the tests.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -174,7 +175,10 @@ def global_error(traj: Trajectory, reference: Trajectory) -> float:
         raise ValueError("reference grid is not a refinement of the trajectory grid")
     stride = n_ref // n
     ref_times = reference.times[::stride]
-    if not np.allclose(ref_times, traj.times, atol=1e-9, rtol=0):
+    # two grids over one span round apart by about an ulp of t, which far
+    # from t = 0 is past 1e-9: allow a few ulps of the largest |t|
+    t_max = max(abs(traj.times[0]), abs(traj.times[-1]))
+    if not np.allclose(ref_times, traj.times, atol=max(1e-9, 4 * math.ulp(t_max)), rtol=0):
         raise ValueError("time grids disagree after subsampling")
     diff = reference.points[::stride] - traj.points
     return float(np.max(np.linalg.norm(diff.reshape(len(diff), -1), axis=1)))

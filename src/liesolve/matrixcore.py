@@ -56,8 +56,10 @@ def mat_exp(a: np.ndarray) -> np.ndarray:
     at the largest ||B||, 1/4).  The polynomial sum_{j<=m} B^j / j! is
     evaluated by Horner in coefficient form, acc = B acc + I/j!, one
     product and one in-place sum per degree; the terms I/j! are built once
-    per size n.  Relative error <= 1e-13 in Frobenius norm for
-    ||A||_F <= 10.
+    per size n.  The products, Horner's and the squarings', go through
+    ndarray.dot, which gives the same bits as @ on C-contiguous float64
+    input at about half its call cost.  Relative error <= 1e-13 in
+    Frobenius norm for ||A||_F <= 10.
 
     Overflow raises FloatingPointError naming ||A||_F, without a
     RuntimeWarning: on the diagonal path when some exp(a_ii) overflows, on
@@ -88,18 +90,19 @@ def mat_exp(a: np.ndarray) -> np.ndarray:
         b = a * scale if s else a
         m = min(bisect.bisect_left(_DEGREE_BOUNDS, nrm * scale) + 1, TAYLOR_ORDER)
         # two numpy calls per degree and no np.eye per call: at 3 x 3 a
-        # numpy call costs more than its arithmetic
+        # numpy call costs more than its arithmetic, and @ costs about twice
+        # ndarray.dot (the matmul gufunc machinery before the same dgemm)
         eye_terms = _eye_terms(n)
         acc = b * _INV_FACTORIALS[m]
         acc += eye_terms[m - 1]
         for j in range(m - 2, -1, -1):
-            acc = b @ acc
+            acc = b.dot(acc)
             acc += eye_terms[j]
         if not s:
             return acc
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(s):
-                acc = acc @ acc
+                acc = acc.dot(acc)
     if not np.isfinite(acc).all():
         raise FloatingPointError(f"matrix exponential overflows (||A||_F = {nrm:g})")
     return acc

@@ -192,6 +192,34 @@ def test_extract_rejects_far_elements():
         assert str(excinfo.value) == message
 
 
+def test_extract_rejects_non_finite_entries():
+    # an all-nan g gave (nan, nan, nan), and g[1, 0] = inf gave
+    # lambda_1 = atan(-inf) / sqrt(kappa1) as if it were a coordinate
+    ck = CKParams(0.8, -0.5)
+    read = ((0, 0), (1, 0), (2, 0), (2, 1), (2, 2))
+    for value in (math.nan, math.inf, -math.inf):
+        g = np.full((3, 3), value)
+        with pytest.raises(ValueError, match=rf"^group element entry g\[0, 0\] = {value} is not finite$"):
+            ck_extract_coords(ck, g)
+        for i, j in read:
+            g = np.eye(3)
+            g[i, j] = value
+            with pytest.raises(ValueError) as excinfo:
+                ck_extract_coords(ck, g)
+            assert type(excinfo.value) is ValueError
+            assert str(excinfo.value) == f"group element entry g[{i}, {j}] = {value} is not finite"
+    # the four entries the extraction does not read are not checked
+    for i, j in ((0, 1), (0, 2), (1, 1), (1, 2)):
+        g = np.eye(3)
+        g[i, j] = math.nan
+        assert ck_extract_coords(ck, g) == (0.0, 0.0, 0.0)
+    # finite entries whose sum overflows are read as before
+    g = np.eye(3)
+    g[2, 0] = g[2, 1] = 1e308
+    with pytest.raises(CoordinateChartError, match="^kappa-arctangent argument"):
+        ck_extract_coords(ck, g)
+
+
 def test_action_modes_agree_near_identity():
     rng = np.random.default_rng(17)
     ck = CKParams(0.8, -0.5)

@@ -597,6 +597,30 @@ def test_global_error_subsamples_reference():
         global_error(traj, bad)
 
 
+def test_global_error_accepts_a_refinement_far_from_zero():
+    # a 240-step grid subsampled to 24 steps differs from the 24-step grid
+    # by one ulp of t0 (3.7e-9 here), past a fixed 1e-9
+    decay = SimpleNamespace(rhs=lambda t, x: -x)
+    t0 = -25366129.697604313
+    t1 = t0 + 2.2109250577728403
+    coarse, fine = (solve_direct_rk4(decay, [1.0], t0, t1, n) for n in (24, 240))
+    gap = np.max(np.abs(fine.times[::10] - coarse.times))
+    assert gap == math.ulp(t0) and gap > 1e-9
+    assert global_error(coarse, fine) == np.max(np.abs(fine.points[::10] - coarse.points))
+
+
+def test_global_error_rejects_a_shifted_reference():
+    # the tolerance grows with |t| by a few ulps, not enough to pass a grid
+    # shifted by a fraction of a step, far from t = 0 or near it
+    decay = SimpleNamespace(rhs=lambda t, x: -x)
+    for t0, shift in ((-25366129.697604313, 1e-6), (1e9, 1e-5), (0.0, 1e-8)):
+        t1 = t0 + 2.2109250577728403
+        coarse = solve_direct_rk4(decay, [1.0], t0, t1, 24)
+        shifted = solve_direct_rk4(decay, [1.0], t0 + shift, t1 + shift, 240)
+        with pytest.raises(ValueError, match="^time grids disagree after subsampling$"):
+            global_error(coarse, shifted)
+
+
 def test_estimate_order_exact_power_laws():
     hs = [0.1, 0.05, 0.025, 0.0125]
     assert estimate_order(hs, [3.0 * h ** 2 for h in hs]) == pytest.approx(2.0)

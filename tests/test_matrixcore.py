@@ -1,3 +1,4 @@
+import bisect
 import math
 import warnings
 
@@ -6,6 +7,9 @@ import pytest
 
 from liesolve.algebra import CoefficientSet
 from liesolve.matrixcore import (
+    _DEGREE_BOUNDS,
+    _INV_FACTORIALS,
+    TAYLOR_ORDER,
     DimensionMismatchError,
     commutator,
     mat_exp,
@@ -163,6 +167,46 @@ def test_mat_exp_taylor_coefficients_on_a_shift_matrix(n, norm):
             assert term <= 2.0 ** -56
     assert np.array_equal(got, np.triu(got))
     assert all(np.array_equal(np.diagonal(got, j), np.full(n - j, got[0, j])) for j in range(n))
+
+
+def _mat_exp_with_matmul(a):
+    """mat_exp's degree rule, scaling and Horner, with every product as @:
+    (exp(A), degree m, squarings s) for a non-diagonal A."""
+    n = len(a)
+    nrm = math.hypot(*a.ravel().tolist())
+    s = max(0, math.ceil(math.log2(nrm)) + 2)
+    b = a * math.ldexp(1.0, -s) if s else a
+    m = min(bisect.bisect_left(_DEGREE_BOUNDS, nrm * math.ldexp(1.0, -s)) + 1, TAYLOR_ORDER)
+    acc = b * _INV_FACTORIALS[m] + np.eye(n) * _INV_FACTORIALS[m - 1]
+    for j in range(m - 2, -1, -1):
+        acc = b @ acc + np.eye(n) * _INV_FACTORIALS[j]
+    for _ in range(s):
+        acc = acc @ acc
+    return acc, m, s
+
+
+def test_mat_exp_products_give_the_bits_of_matmul():
+    # mat_exp multiplies through ndarray.dot because @ costs about twice as
+    # much per call at 3 x 3; on C-contiguous float64 both run the same
+    # dgemm.  If a numpy or BLAS upgrade ever separates the two paths, this
+    # says so before a tolerance downstream drifts.  The norms are those of
+    # test_mat_exp_matches_mpmath, one just under each degree's bound and
+    # two more, so that every degree and squaring count shows.
+    norms = [1e-9, 1e-4, 6e-3, 0.05, 0.2, 0.26, 1.0, 3.0, 10.0, 1.6, 6.0]
+    norms += [0.9 * bound for bound in _DEGREE_BOUNDS[:11]]
+    rng = np.random.default_rng(25)
+    degrees, squarings = set(), set()
+    for n in (2, 3, 4, 16):
+        for norm in norms:
+            for _ in range(3):
+                a = rng.normal(size=(n, n))
+                a *= norm / np.linalg.norm(a)
+                assert a.flags.c_contiguous and a.dtype == np.float64
+                expected, m, s = _mat_exp_with_matmul(a)
+                assert np.array_equal(mat_exp(a), expected)
+                degrees.add(m)
+                squarings.add(s)
+    assert degrees == set(range(1, 13)) and squarings == set(range(7))
 
 
 def test_mat_exp_identity_terms_do_not_leak_into_results():
