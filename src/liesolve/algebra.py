@@ -1,5 +1,5 @@
-"""Lie-algebra layer: basis with structure constants, A(t) assembly and the
-truncated dexp-inverse series.
+"""Lie-algebra layer: basis with structure constants, the coefficients
+b(t) of A(t) = sum_a b_a(t) M_a, and the truncated dexp-inverse series.
 
 An algebra element sum_a w_a M_a is held as its coordinate vector w; the
 basis turns w into the n x n matrix (element) and brackets coordinate
@@ -249,12 +249,6 @@ def _floats(funcs: tuple, t: float, what: str) -> list:
 def _check_arity(basis: AlgebraBasis, coeffs: CoefficientSet) -> None:
     if coeffs.r != basis.r:
         raise ValueError(f"coefficient arity {coeffs.r} != basis rank {basis.r}")
-
-
-def assemble_A(basis: AlgebraBasis, coeffs: CoefficientSet, t: float) -> np.ndarray:
-    """A(t) = sum_a b_a(t) M_a."""
-    _check_arity(basis, coeffs)
-    return basis.element(coeffs.values(t))
 
 
 def _dexpinv_series(bracket, h: list, order: int) -> list:

@@ -1,13 +1,13 @@
 """One-step integrators on the group side: Magnus 2/4 and RKMK increments,
 the group recursion Y_{k+1} = exp(W_k) Y_k, and a plain RK4 baseline.
 
-The increments are computed in algebra coordinates: each returns the
-coefficient vector w of W_k.  Magnus-4 and RKMK run their stages on Python
-float lists, through the basis's compiled kernels: the bracket
-(AlgebraBasis.bracket) and the order-2 dexp-inverse on r-vectors
-(AlgebraBasis.dexpinv2).  _group_step is the one place where w becomes the
-group element exp(AlgebraBasis.element(w)), and _record, which every solver
-hands its step function, is the one loop over the time grid."""
+Each method samples b(t) at its nodes (_METHODS), and its kernel combines
+the samples into the coefficient vector w of W_k.  Magnus-4 and RKMK run
+their stages on Python float lists, through the basis's compiled kernels:
+the bracket and the order-2 dexp-inverse (AlgebraBasis.dexpinv2).
+_group_step is the one place that samples b(t) and the one where w becomes
+exp(AlgebraBasis.element(w)), and _record, which every solver hands its
+step function, is the one loop over the time grid."""
 
 import math
 import operator
@@ -19,7 +19,17 @@ import numpy as np
 from .algebra import AlgebraBasis, CoefficientSet, _check_arity
 from .matrixcore import mat_exp
 
-GEOMETRIC_METHODS = ("magnus2", "magnus4", "rkmk")
+# The samples each method's kernel, <method>_increment, combines, in order:
+# b(t_k + c h) ("values") or (b', b'') there ("derivatives") at the node c.
+# The kernel is looked up by name when a solve starts, so that one rebound
+# here steps; none checks h > 0, which comes from _time_grid.
+_METHODS = {
+    "magnus2": (("values", 0.5),),
+    "magnus4": (("values", 0.5), ("derivatives", 0.5)),
+    "rkmk": (("values", 0.0), ("values", 0.5), ("values", 1.0)),
+}
+
+GEOMETRIC_METHODS = tuple(_METHODS)
 
 
 class _StepError(Exception):
@@ -59,24 +69,17 @@ class Trajectory:
     points: np.ndarray
 
 
-def magnus2_increment(
-    basis: AlgebraBasis, coeffs: CoefficientSet, t_k: float, h: float
-) -> np.ndarray:
-    """Order 2: W_k = h A(t_k + h/2), i.e. w = h b(t_k + h/2).  h > 0 is
-    not checked here: it comes from _time_grid."""
-    return h * np.array(coeffs.values(t_k + 0.5 * h))
+def magnus2_increment(basis: AlgebraBasis, samples: list, h: float) -> np.ndarray:
+    """Order 2: W_k = h A(t_k + h/2), i.e. w = h b from samples = [b] there."""
+    (b,) = samples
+    return h * np.array(b)
 
 
-def magnus4_increment(
-    basis: AlgebraBasis, coeffs: CoefficientSet, t_k: float, h: float
-) -> np.ndarray:
-    """Order 4: with b, b', b'' the coefficients and their derivatives at
-    t+h/2, w = h b + h^3 (b''/24 - [b, b'/12]), the coordinates of
-    h A + h^3 (A''/24 - [A, A'/12]) at t+h/2.  h > 0 is not checked here:
-    it comes from _time_grid."""
-    t_half = t_k + 0.5 * h
-    b = coeffs.values(t_half)
-    d1, d2 = coeffs.derivatives(t_half)
+def magnus4_increment(basis: AlgebraBasis, samples: list, h: float) -> np.ndarray:
+    """Order 4: from samples = [b, (b', b'')] at t_k + h/2,
+    w = h b + h^3 (b''/24 - [b, b'/12]), the coordinates of
+    h A + h^3 (A''/24 - [A, A'/12]) there."""
+    b, (d1, d2) = samples
     ad = basis.bracket(b, [x / 12.0 for x in d1])
     return np.array([h * x + h ** 3 * (y / 24.0 - z) for x, y, z in zip(b, d2, ad)])
 
@@ -85,23 +88,20 @@ def magnus4_increment(
 _RK4_WEIGHTS = np.array([1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0])
 
 
-def rkmk_increment(
-    basis: AlgebraBasis, coeffs: CoefficientSet, t_k: float, h: float
-) -> np.ndarray:
-    """RKMK on the classical RK4 tableau: F_1 = b(t_k), then
-    F_l = dexpinv(T_l, b(t_k + c_l h)) with T_l = h F_1/2, h F_2/2, h F_3
-    at c_l = 1/2, 1/2, 1, and w = h (F_1 + 2 F_2 + 2 F_3 + F_4) / 6.
+def rkmk_increment(basis: AlgebraBasis, samples: list, h: float) -> np.ndarray:
+    """RKMK on the classical RK4 tableau from samples = [b(t_k),
+    b(t_k + h/2), b(t_k + h)]: F_1 = b(t_k), then F_l = dexpinv(T_l, b(t_k
+    + c_l h)) with T_l = h F_1/2, h F_2/2, h F_3 at c_l = 1/2, 1/2, 1, and
+    w = h (F_1 + 2 F_2 + 2 F_3 + F_4) / 6.
 
     Runs its stages on coordinate lists of Python floats, with dexpinv
     truncated at 2 = p - 2, all that an order-p = 4 tableau needs
-    (AlgebraBasis.dexpinv2), and evaluates b once each at t_k, t_k + h/2
-    and t_k + h.  h > 0 is not checked here: it comes from _time_grid."""
+    (AlgebraBasis.dexpinv2)."""
     stage = basis.dexpinv2
-    f1 = coeffs.values(t_k)
-    b_half = coeffs.values(t_k + 0.5 * h)
+    f1, b_half, b_end = samples
     f2 = stage([h * (0.5 * x) for x in f1], b_half)
     f3 = stage([h * (0.5 * x) for x in f2], b_half)
-    f4 = stage([h * x for x in f3], coeffs.values(t_k + h))
+    f4 = stage([h * x for x in f3], b_end)
     # numpy's weighted sum: summed in Python the last bits of w change
     return h * (_RK4_WEIGHTS @ np.array((f1, f2, f3, f4)))
 
@@ -127,28 +127,29 @@ def _time_grid(t0: float, t1: float, n_steps: int):
 
 
 def _group_step(basis: AlgebraBasis, coeffs: CoefficientSet, config: StepperConfig):
-    """The group step of a solve: step(k, t, h) returns E_k = exp(W_k).
+    """The group step of a solve: step(k, t, h) samples b at the method's
+    nodes and returns E_k = exp(W_k).
 
     A config that is not a StepperConfig raises TypeError here, before any
-    step.  A W_k or E_k that is not finite, or an increment that overflows
-    a Python float (OverflowError), raises NonFiniteStateError; _record
-    attaches the step and the partial trajectory.  A non-finite coefficient
-    keeps its ValueError."""
+    step.  A non-finite W_k or E_k, or an OverflowError of a sample or an
+    increment, raises NonFiniteStateError (_record adds the step and the
+    partial); a ValueError of the sampling, type kept, names step k and t_k."""
     if not isinstance(config, StepperConfig):
         raise TypeError(f"config must be a StepperConfig, got {config!r}")
-    # the kernels are looked up here, as module globals, when the solve
-    # starts: a kernel rebound in this module is the one that steps
-    increment = {
-        "magnus2": magnus2_increment,
-        "magnus4": magnus4_increment,
-        "rkmk": rkmk_increment,
-    }[config.method]
+    increment = globals()[f"{config.method}_increment"]
+    samplers = [(getattr(coeffs, what), c) for what, c in _METHODS[config.method]]
 
     def step(k: int, t: float, h: float) -> np.ndarray:
         try:
-            w = increment(basis, coeffs, t, h)
-        except OverflowError as err:  # magnus4's h ** 3 for h >~ 5.6e102
+            samples = []
+            for sample, c in samplers:
+                samples.append(sample(t + c * h))
+            w = increment(basis, samples, h)
+        except OverflowError as err:  # a coefficient, or magnus4's h ** 3 for h >~ 5.6e102
             raise NonFiniteStateError(f"non-finite increment at step {k} (t={t:g})") from err
+        except ValueError as err:  # from the sampling: the kernels only do arithmetic
+            err.args = (f"coefficients failed at step {k} (t={t:g}): {err}",)
+            raise
         try:
             return mat_exp(basis.element(w))
         except (FloatingPointError, ValueError) as err:

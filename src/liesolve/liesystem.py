@@ -86,12 +86,14 @@ class LieSystemSpec:
             raise ValueError(f"the flow-composition action needs {r} flows, got {flows}")
 
 
-def _initial_point(x0) -> np.ndarray:
-    """x0 as a float array; one that is not finite raises ValueError before
-    any step, so that no step is blamed for it."""
+def _initial_point(x0, dim: Optional[int]) -> np.ndarray:
+    """x0 as a float array of shape (dim,), any shape if dim is None; a bad
+    one raises ValueError before any step, so that no step is blamed for it."""
     x = np.asarray(x0, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError(f"initial point x0 must be finite, got x0={x.tolist()}")
+    if dim is not None and x.shape != (dim,):
+        raise ValueError(f"initial point must have dimension {dim}")
     return x
 
 
@@ -112,9 +114,7 @@ def solve(
     subtype kept (outside the action's domain), or NonFiniteStateError (E_k
     or x blew up), with step=k and the trajectory up to t_k.  A ValueError
     of the action keeps its type and names step k and t_k in its message."""
-    x = _initial_point(x0)
-    if x.shape != (sys.dim,):
-        raise ValueError(f"initial point must have dimension {sys.dim}")
+    x = _initial_point(x0, sys.dim)
     group_step = _group_step(sys.basis, sys.coeffs, config)
 
     def step(k, t, h, x):
@@ -142,18 +142,22 @@ def solve_direct_rk4(
     sys: LieSystemSpec, x0: Sequence[float], t0: float, t1: float, n_steps: int
 ) -> Trajectory:
     """Classical RK4 on the raw coordinates; ignores all the geometry and
-    reads only sys.rhs.
+    reads sys.rhs, and sys.dim if it has one (x0 of any shape otherwise).
 
     A state that blows up at step k raises NonFiniteStateError with step=k
-    and the trajectory up to t_k."""
+    and the trajectory up to t_k.  A ValueError of the rhs keeps its type
+    and names step k and t_k in its message."""
 
     def step(k, t, h, x):
         try:
             return rk4_direct_step(sys.rhs, t, h, x)
         except FloatingPointError as err:
             raise NonFiniteStateError(f"non-finite RK4 state at step {k} (t={t})") from err
+        except ValueError as err:
+            err.args = (f"rhs failed at step {k} (t={t:g}): {err}",)
+            raise
 
-    return _record(_initial_point(x0), t0, t1, n_steps, step)
+    return _record(_initial_point(x0, getattr(sys, "dim", None)), t0, t1, n_steps, step)
 
 
 def global_error(traj: Trajectory, reference: Trajectory) -> float:

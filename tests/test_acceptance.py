@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from liesolve.algebra import CoefficientSet, assemble_A, dexpinv
+from liesolve.algebra import CoefficientSet, dexpinv
 from liesolve.benchmarks import (
     ck_benchmark_coefficients,
     limit_cycle_system,

@@ -11,7 +11,6 @@ from liesolve.algebra import (
     AlgebraBasis,
     CoefficientSet,
     _compile_kernels,
-    assemble_A,
     dexpinv,
 )
 from liesolve.ckspaces import CKParams, ck_generators
@@ -147,9 +146,9 @@ def test_ck_structure_constants_match_brackets():
 def test_assemble_A_zero_and_single():
     basis = single_generator_basis()
     coeffs = CoefficientSet(funcs=(lambda t: 0.0,))
-    assert np.abs(assemble_A(basis, coeffs, 2.0)).max() == 0.0
+    assert np.abs(basis.element(np.array(coeffs.values(2.0)))).max() == 0.0
     coeffs = CoefficientSet(funcs=(lambda t: t,))
-    assert np.allclose(assemble_A(basis, coeffs, 2.5), 2.5 * basis.generators[0])
+    assert np.allclose(basis.element(np.array(coeffs.values(2.5))), 2.5 * basis.generators[0])
 
 
 def test_assemble_A_ck_combination():
@@ -158,20 +157,14 @@ def test_assemble_A_ck_combination():
     coeffs = CoefficientSet(
         funcs=(lambda t: t * t, math.sin, lambda t: math.log(t + 1.0))
     )
-    a = assemble_A(basis, coeffs, 3.0)
+    # A(t) = sum_a b_a(t) M_a
+    a = basis.element(np.array(coeffs.values(3.0)))
     expected = (
         9.0 * basis.generators[0]
         + math.sin(3.0) * basis.generators[1]
         + math.log(4.0) * basis.generators[2]
     )
     assert np.allclose(a, expected, atol=1e-15)
-
-
-def test_assemble_A_arity_mismatch():
-    basis = single_generator_basis()
-    coeffs = CoefficientSet(funcs=(lambda t: 1.0, lambda t: 1.0))
-    with pytest.raises(ValueError):
-        assemble_A(basis, coeffs, 0.0)
 
 
 def test_assemble_derivatives_constant_and_polynomial():

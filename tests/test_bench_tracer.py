@@ -19,6 +19,7 @@ TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 # them and updates this list.  A name that turns up here otherwise is a
 # function the tracer times that was deleted or renamed.
 STALE_TARGETS = [
+    "liesolve.algebra.assemble_A",
     "liesolve.algebra.assemble_A_derivatives",
     "liesolve.ckspaces.ck_flow",
     "liesolve.matrixcore.central_second_derivatives",

@@ -35,6 +35,30 @@ def diagonal_basis():
     )
 
 
+def samples(method, coeffs, t, h):
+    """What a step of method from t samples, at node times written out by
+    hand: b at t + h/2 for magnus2, with (b', b'') there for magnus4, and
+    b at t, t + h/2 and t + h for rkmk."""
+    if method == "magnus2":
+        return [coeffs.values(t + 0.5 * h)]
+    if method == "magnus4":
+        return [coeffs.values(t + 0.5 * h), coeffs.derivatives(t + 0.5 * h)]
+    return [coeffs.values(t), coeffs.values(t + 0.5 * h), coeffs.values(t + h)]
+
+
+KERNELS = {"magnus2": magnus2_increment, "magnus4": magnus4_increment, "rkmk": rkmk_increment}
+
+
+def increment(method, basis, coeffs, t, h):
+    """w of method's kernel on the samples of a step from t."""
+    return KERNELS[method](basis, samples(method, coeffs, t, h), h)
+
+
+def a_matrix(basis, coeffs, t):
+    """A(t) = sum_a b_a(t) M_a."""
+    return basis.element(np.array(coeffs.values(t)))
+
+
 def test_stepper_config_truncation_rule():
     # RKMK truncates dexp-inverse at p - 2 = 2 for its RK4 tableau: the
     # method is the only setting, and no truncation knob is left to set
@@ -49,7 +73,7 @@ def test_stepper_config_truncation_rule():
 def test_magnus2_constant_field():
     m = np.array([[0.0, 1.0], [-1.0, 0.0]])
     basis, coeffs = constant_basis_coeffs(m)
-    w = magnus2_increment(basis, coeffs, 0.0, 0.1)
+    w = increment("magnus2", basis, coeffs, 0.0, 0.1)
     assert np.allclose(w, [0.1])
     assert np.allclose(basis.element(w), 0.1 * m)
 
@@ -58,34 +82,30 @@ def test_magnus2_midpoint_evaluation():
     ck = CKParams(0.8, -0.5)
     basis = ck_generators(ck)
     coeffs = ck_benchmark_coefficients()
-    from liesolve.algebra import assemble_A
-
-    w = magnus2_increment(basis, coeffs, 3.0, 0.1)
+    w = increment("magnus2", basis, coeffs, 3.0, 0.1)
     assert w.shape == (3,)
-    assert np.allclose(basis.element(w), 0.1 * assemble_A(basis, coeffs, 3.05), atol=1e-15)
+    assert np.allclose(basis.element(w), 0.1 * a_matrix(basis, coeffs, 3.05), atol=1e-15)
 
 
 def test_magnus2_small_h_limit():
     ck = CKParams(0.8, -0.5)
     basis = ck_generators(ck)
     coeffs = ck_benchmark_coefficients()
-    from liesolve.algebra import assemble_A
-
-    a_norm = np.linalg.norm(assemble_A(basis, coeffs, 3.0))
+    a_norm = np.linalg.norm(a_matrix(basis, coeffs, 3.0))
     for h in (1e-4, 1e-6):
-        w = magnus2_increment(basis, coeffs, 3.0, h)
+        w = increment("magnus2", basis, coeffs, 3.0, h)
         assert np.linalg.norm(basis.element(w)) / h == pytest.approx(a_norm, rel=1e-3)
 
 
 def test_magnus4_constant_and_abelian():
     m = np.array([[0.0, 1.0], [-1.0, 0.0]])
     basis, coeffs = constant_basis_coeffs(m)
-    w = magnus4_increment(basis, coeffs, 0.3, 0.1)
+    w = increment("magnus4", basis, coeffs, 0.3, 0.1)
     assert np.allclose(basis.element(w), 0.1 * m, atol=1e-9)
 
     lin = CoefficientSet(funcs=(lambda t: t,), d1=(lambda t: 1.0,), d2=(lambda t: 0.0,))
     basis = AlgebraBasis((m,), np.zeros((1, 1, 1)))
-    w = magnus4_increment(basis, lin, 0.2, 0.1)
+    w = increment("magnus4", basis, lin, 0.2, 0.1)
     assert np.allclose(basis.element(w), 0.1 * (0.2 + 0.05) * m, atol=1e-14)
 
 
@@ -94,15 +114,15 @@ def test_magnus4_analytic_vs_finite_difference():
     basis = ck_generators(ck)
     analytic = ck_benchmark_coefficients()
     fd_only = CoefficientSet(funcs=analytic.funcs)
-    w_a = magnus4_increment(basis, analytic, 3.0, 0.1)
-    w_fd = magnus4_increment(basis, fd_only, 3.0, 0.1)
+    w_a = increment("magnus4", basis, analytic, 3.0, 0.1)
+    w_fd = increment("magnus4", basis, fd_only, 3.0, 0.1)
     assert np.abs(basis.element(w_a) - basis.element(w_fd)).max() <= 1e-6
 
 
 def test_rkmk_constant_field_any_table():
     m = np.array([[0.0, 2.0], [-1.0, 0.0]])
     basis, coeffs = constant_basis_coeffs(m)
-    w = rkmk_increment(basis, coeffs, 0.0, 0.1)
+    w = increment("rkmk", basis, coeffs, 0.0, 0.1)
     assert np.allclose(basis.element(w), 0.1 * m, atol=1e-14)
 
 
@@ -116,7 +136,7 @@ def test_rkmk_first_stage_is_field_at_tk():
     coeffs = CoefficientSet(funcs=tuple(
         (lambda t, f=f: f(t) if t == 3.0 else 0.0) for f in bench.funcs
     ))
-    w = rkmk_increment(basis, coeffs, 3.0, 0.1)
+    w = increment("rkmk", basis, coeffs, 3.0, 0.1)
     assert np.allclose(w, 0.1 / 6.0 * np.array(bench.values(3.0)), rtol=1e-15, atol=0.0)
 
 
@@ -124,7 +144,7 @@ def test_rkmk_abelian_matches_scalar_rk4_quadrature():
     basis = diagonal_basis()
     coeffs = CoefficientSet(funcs=(lambda t: 1 + t * t, math.exp))
     t_k, h = 0.4, 0.05
-    w = rkmk_increment(basis, coeffs, t_k, h)
+    w = increment("rkmk", basis, coeffs, t_k, h)
     # scalar RK4 on d(omega)/dt = b(t) for each diagonal entry
     for idx, b in enumerate(coeffs.funcs):
         k1 = b(t_k)
@@ -147,7 +167,43 @@ def test_rkmk_abelian_is_numpy_weighted_sum_to_the_bit():
     h = 0.1
     for t in (h * np.arange(20)).tolist():
         expected = h * (_RK4_WEIGHTS @ np.array([b(t), b(t + h / 2), b(t + h / 2), b(t + h)]))
-        assert np.array_equal(rkmk_increment(basis, coeffs, t, h), expected), t
+        assert np.array_equal(increment("rkmk", basis, coeffs, t, h), expected), t
+
+
+def _logging_coeffs(log, analytic):
+    """The stock CK coefficients (r = 3), every function appending
+    (kind, t) to log; without analytic derivatives if not analytic."""
+    stock = ck_benchmark_coefficients()
+
+    def logged(kind, funcs):
+        return tuple((lambda t, f=f: log.append((kind, t)) or f(t)) for f in funcs)
+
+    if not analytic:
+        return CoefficientSet(funcs=logged("b", stock.funcs))
+    return CoefficientSet(
+        funcs=logged("b", stock.funcs), d1=logged("d1", stock.d1), d2=logged("d2", stock.d2)
+    )
+
+
+def test_each_method_samples_its_nodes():
+    # one step from t = 3 with h = 0.1 on r = 3 coefficients: where each
+    # method samples b (and b', b''), and how many calls it makes
+    basis = ck_generators(CKParams(0.8, -0.5))
+    t, h = 3.0, 3.1 - 3.0
+    mid = t + 0.5 * h
+    d = max(1e-4, 1e-4 * abs(mid))  # CoefficientSet's difference step
+    stencil = {mid - 2 * d, mid - d, mid, mid + d, mid + 2 * d}
+    cases = [
+        ("magnus2", True, {("b", mid)}, 3),
+        ("magnus4", True, {("b", mid), ("d1", mid), ("d2", mid)}, 9),
+        ("magnus4", False, {("b", x) for x in stencil}, 18),
+        ("rkmk", True, {("b", t), ("b", mid), ("b", t + h)}, 9),
+    ]
+    for method, analytic, expected, calls in cases:
+        log = []
+        integrate_group(basis, _logging_coeffs(log, analytic), StepperConfig(method), t, 3.1, 1)
+        assert set(log) == expected, (method, analytic)
+        assert len(log) == calls, (method, analytic)
 
 
 def test_integrate_group_zero_field():
@@ -183,7 +239,7 @@ def test_integrate_group_reconstruction_invariant():
     assert len(traj.times) == len(traj.points) == 11
     # w_k recomputed by the kernel at t_k, with the grid's h
     for k, t_k in enumerate(traj.times[:-1].tolist()):
-        w = rkmk_increment(basis, coeffs, t_k, 0.1)
+        w = increment("rkmk", basis, coeffs, t_k, 0.1)
         rebuilt = mat_exp(basis.element(w)) @ traj.points[k]
         assert np.array_equal(rebuilt, traj.points[k + 1])
         assert np.linalg.norm(rebuilt - traj.points[k + 1]) <= 1e-12
@@ -374,32 +430,28 @@ def relative_error(got, expected):
 
 @pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "finite-difference"])
 def test_magnus4_matches_matrix_formula(coordinate_system, analytic):
-    from liesolve.algebra import assemble_A
-
     basis, coeffs = coordinate_system
     if not analytic:
         coeffs = CoefficientSet(funcs=coeffs.funcs)
     for t_k, h in ((0.3, 0.1), (3.0, 0.05), (1.0, 0.4)):
         t_half = t_k + 0.5 * h
-        a = assemble_A(basis, coeffs, t_half)
+        a = a_matrix(basis, coeffs, t_half)
         d1, d2 = map(basis.element, coeffs.derivatives(t_half))
         expected = h * a + h ** 3 * (d2 / 24.0 - commutator(a, d1 / 12.0))
-        w = magnus4_increment(basis, coeffs, t_k, h)
+        w = increment("magnus4", basis, coeffs, t_k, h)
         assert relative_error(basis.element(w), expected) <= 1e-14
 
 
-@pytest.mark.parametrize(
-    "increment", [magnus2_increment, magnus4_increment], ids=["magnus2", "magnus4"]
-)
-def test_magnus_increments_are_time_symmetric(coordinate_system, increment):
+@pytest.mark.parametrize("method", ["magnus2", "magnus4"])
+def test_magnus_increments_are_time_symmetric(coordinate_system, method):
     # both Magnus methods are symmetric: the step from t + h back by -h
     # undoes the step from t, w(t, h) = -w(t + h, -h), up to the rounding
     # of the midpoint.  RKMK on the RK4 tableau is not symmetric.
     basis, coeffs = coordinate_system
     for t in (0.3, 1.0, 3.0):
         for h in (0.1, 0.01, 1e-3):
-            w = increment(basis, coeffs, t, h)
-            back = increment(basis, coeffs, t + h, -h)
+            w = increment(method, basis, coeffs, t, h)
+            back = increment(method, basis, coeffs, t + h, -h)
             assert np.linalg.norm(w + back) <= 2e-15 * np.linalg.norm(w), (t, h)
 
 
@@ -415,13 +467,13 @@ RK4 = (
 
 def rkmk_matrix_reference(basis, coeffs, table, j, t_k, h):
     """Stagewise RKMK on n x n matrices: F_l = dexpinv(T_l, A(t_k + c_l h))."""
-    from liesolve.algebra import assemble_A, dexpinv
+    from liesolve.algebra import dexpinv
 
     a, b, c = table
     f = []
     for l in range(len(b)):
         theta = h * sum((a[l, m] * f[m] for m in range(l)), np.zeros((basis.n, basis.n)))
-        f.append(dexpinv(theta, assemble_A(basis, coeffs, t_k + c[l] * h), j))
+        f.append(dexpinv(theta, a_matrix(basis, coeffs, t_k + c[l] * h), j))
     return h * sum(b[l] * f[l] for l in range(len(b)))
 
 
@@ -432,7 +484,7 @@ def test_rkmk_matches_matrix_formula(coordinate_system, table):
     basis, coeffs = coordinate_system
     for t_k, h in ((0.3, 0.1), (3.0, 0.05)):
         expected = rkmk_matrix_reference(basis, coeffs, table, 2, t_k, h)
-        w = rkmk_increment(basis, coeffs, t_k, h)
+        w = increment("rkmk", basis, coeffs, t_k, h)
         assert relative_error(basis.element(w), expected) <= 1e-13, (t_k, h)
 
 
@@ -446,26 +498,23 @@ def _loop_bracket(basis, u, v):
     return out
 
 
-def rkmk_series_reference(basis, coeffs, t_k, h):
+def rkmk_series_reference(basis, samples, h):
     """rkmk_increment with its stages through _dexpinv_series and the loop
     bracket, as before the compiled kernels."""
 
     def stage(theta, b):
         return _dexpinv_series(lambda v: _loop_bracket(basis, theta, v), b, 2)
 
-    f1 = coeffs.values(t_k)
-    b_half = coeffs.values(t_k + 0.5 * h)
+    f1, b_half, b_end = samples
     f2 = stage([h * (0.5 * x) for x in f1], b_half)
     f3 = stage([h * (0.5 * x) for x in f2], b_half)
-    f4 = stage([h * x for x in f3], coeffs.values(t_k + h))
+    f4 = stage([h * x for x in f3], b_end)
     return h * (_RK4_WEIGHTS @ np.array((f1, f2, f3, f4)))
 
 
-def magnus4_loop_reference(basis, coeffs, t_k, h):
+def magnus4_loop_reference(basis, samples, h):
     """magnus4_increment with the loop bracket."""
-    t_half = t_k + 0.5 * h
-    b = coeffs.values(t_half)
-    d1, d2 = coeffs.derivatives(t_half)
+    b, (d1, d2) = samples
     ad = _loop_bracket(basis, b, [x / 12.0 for x in d1])
     return np.array([h * x + h ** 3 * (y / 24.0 - z) for x, y, z in zip(b, d2, ad)])
 

@@ -76,7 +76,9 @@ def test_solve_group_reconstruction():
     traj = solve(system, [1.0, 1.0, 1.0], 3.0, 4.0, 10, StepperConfig("magnus4"))
     # w_k recomputed by the kernel at t_k, with the grid's h
     for k, t_k in enumerate(traj.times[:-1].tolist()):
-        w = magnus4_increment(system.basis, system.coeffs, t_k, 0.1)
+        t_half = t_k + 0.5 * 0.1
+        samples = [system.coeffs.values(t_half), system.coeffs.derivatives(t_half)]
+        w = magnus4_increment(system.basis, samples, 0.1)
         x = system.action.act(mat_exp(system.basis.element(w)), traj.points[k])
         assert np.linalg.norm(x - traj.points[k + 1]) <= 1e-12
 
@@ -372,6 +374,69 @@ def test_solvers_reject_a_non_finite_initial_point():
                 with pytest.raises(ValueError, match=expected) as excinfo:
                     run([1.0, bad, 1.0])
                 assert not isinstance(excinfo.value, NonFiniteStateError)
+
+
+def test_solve_direct_rk4_checks_the_initial_point_dimension():
+    # as solve does, before step 0: not an unpacking error inside the rhs
+    _, system = ck_setup()
+    for x0 in ([1.0, 1.0], [[1.0, 1.0, 1.0]]):
+        with pytest.raises(ValueError, match="^initial point must have dimension 3$"):
+            solve_direct_rk4(system, x0, 3.0, 4.0, 10)
+    # an rhs without a system has no dim: any shape is stepped
+    decay = SimpleNamespace(rhs=lambda t, x: -x)
+    for x0 in (1.0, [1.0, 2.0], [[1.0], [2.0]]):
+        traj = solve_direct_rk4(decay, x0, 0.0, 1.0, 2)
+        assert traj.points.shape == (3,) + np.shape(x0)
+
+
+def test_coefficient_and_rhs_errors_name_their_step():
+    # b12 = ln(t + 1) is undefined on [-3, -1.5]: math's ValueError at step 0
+    _, system = ck_setup()
+    runs = [
+        (lambda m=m: solve(system, [1.0, 1.0, 1.0], -3.0, -1.5, 10, StepperConfig(m)),
+         "coefficients")
+        for m in GEOMETRIC_METHODS
+    ]
+    runs.append((lambda: solve_direct_rk4(system, [1.0, 1.0, 1.0], -3.0, -1.5, 10), "rhs"))
+    for run, what in runs:
+        expected = rf"^{what} failed at step 0 \(t=-3\): math domain error$"
+        with pytest.raises(ValueError, match=expected) as excinfo:
+            run()
+        assert type(excinfo.value) is ValueError
+        assert getattr(excinfo.value, "step", None) is None
+
+
+def _failing_after(t_bad, raised):
+    """CK coefficients that are 0 up to t_bad and raise a fresh ValueError
+    past it, each one appended to raised."""
+
+    def b(t):
+        if t > t_bad:
+            raised.append(ValueError(f"no value at t={t}"))
+            raise raised[-1]
+        return 0.0
+
+    return CoefficientSet(funcs=(b, b, b))
+
+
+def test_a_failing_coefficient_keeps_its_error_object():
+    # h = 0.25: step 0's samples reach t = 0.25 at most, step 1's pass it
+    for method in GEOMETRIC_METHODS:
+        raised = []
+        system = ck_lie_system(CKParams(0.8, -0.5), _failing_after(0.25, raised))
+        runs = (
+            lambda: solve(system, [1.0, 1.0, 1.0], 0.0, 1.0, 4, StepperConfig(method)),
+            lambda: integrate_group(system.basis, system.coeffs, StepperConfig(method), 0.0, 1.0, 4),
+        )
+        for run in runs:
+            with pytest.raises(ValueError, match=r"^coefficients failed at step 1 \(t=0.25\): ") as excinfo:
+                run()
+            assert excinfo.value is raised[-1], method
+    raised = []
+    system = ck_lie_system(CKParams(0.8, -0.5), _failing_after(0.25, raised))
+    with pytest.raises(ValueError, match=r"^rhs failed at step 1 \(t=0.25\): no value at t=0.375$") as excinfo:
+        solve_direct_rk4(system, [1.0, 1.0, 1.0], 0.0, 1.0, 4)
+    assert excinfo.value is raised[-1]
 
 
 @pytest.mark.parametrize("method", GEOMETRIC_METHODS)

@@ -29,6 +29,11 @@ The groups:
 * limit-cycle: starts inside, on and outside the unit circle, on [0, 2] at
   h = 0.05 and on [0, 7] at h = 0.1, where most outside starts leave the
   action's domain and some group elements overflow;
+* errors: inputs that fail, by each geometric method and by direct RK4
+  where a system is solved: the stock CK system on [-3, -1.5], where
+  b12 = ln(t + 1) has no value; a nan coefficient; an x0 of the wrong
+  size; a config that is not a StepperConfig; and bad grids (t1 <= t0,
+  no steps, 2.5 steps, an infinite t0);
 * cli: the four CLI commands the benchmark runs (ck --ref-steps 100,
   convergence --ref-steps 800, limit-cycle, riccati-check), each in an
   empty temporary directory.
@@ -58,6 +63,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from liesolve import cli  # noqa: E402
+from liesolve.algebra import CoefficientSet  # noqa: E402
 from liesolve.benchmarks import ck_benchmark_coefficients, limit_cycle_system  # noqa: E402
 from liesolve.ckspaces import CKParams, ck_generators, ck_lie_system  # noqa: E402
 from liesolve.integrators import (  # noqa: E402
@@ -155,6 +161,19 @@ def _limit_cycle_cases():
             yield from _solves(system, x0, t0, t1, n)
 
 
+def _error_cases():
+    coeffs = ck_benchmark_coefficients()
+    system = ck_lie_system(CKParams(0.8, -0.5), coeffs)
+    # b12 = ln(t + 1) is undefined on [-3, -1.5]
+    yield from _solves(system, CK_X0, -3.0, -1.5, 10)
+    nan = CoefficientSet(funcs=(coeffs.funcs[0], lambda t: math.nan, coeffs.funcs[2]))
+    yield from _solves(ck_lie_system(CKParams(0.8, -0.5), nan), CK_X0, 3.0, 4.0, 10)
+    yield from _solves(system, CK_X0[:2], 3.0, 4.0, 10)
+    yield "config", functools.partial(solve, system, CK_X0, 3.0, 4.0, 10, "rkmk")
+    for t0, t1, n in ((4.0, 3.0, 10), (3.0, 4.0, 0), (3.0, 4.0, 2.5), (-math.inf, 4.0, 10)):
+        yield from _solves(system, CK_X0, t0, t1, n)
+
+
 def _run_cli(h, argv) -> None:
     """Feed h what one CLI command returns, prints, warns and writes, run in
     an empty temporary directory."""
@@ -184,6 +203,7 @@ def main() -> int:
         ("ck-flow-composition", _ck_cases("flow-composition")),
         ("integrate-group", _group_cases()),
         ("limit-cycle", _limit_cycle_cases()),
+        ("errors", _error_cases()),
     )
     for name, cases in groups:
         h = hashlib.sha256()
