@@ -2,9 +2,10 @@
 b(t) of A(t) = sum_a b_a(t) M_a, and the truncated dexp-inverse series.
 
 An algebra element sum_a w_a M_a is held as its coordinate vector w; the
-basis turns w into the n x n matrix (element) and brackets coordinate
-vectors as Python floats through its nonzero structure constants (bracket),
-so that dexp-inverse runs on r-vectors too (dexpinv2)."""
+basis turns w into the n x n matrix through its nonzero generator entries
+(element) and brackets coordinate vectors as Python floats through its
+nonzero structure constants (bracket), so that dexp-inverse runs on
+r-vectors too (dexpinv2)."""
 
 import functools
 import math
@@ -41,12 +42,15 @@ class AlgebraBasis:
     constants c[a][b][g], so that [M_a, M_b] = sum_g c[a][b][g] M_g.
     Equality and hash go by identity: the fields are arrays.
 
-    Two float kernels on coordinate lists are set per basis:
+    Three kernels on coordinate lists are set per basis, generated from its
+    nonzero structure constants and generator entries (_kernel_source):
     bracket(u, v) returns the coordinates of [u, v], and dexpinv2(theta, v)
     those of v - [theta, v]/2 + [theta, [theta, v]]/12, the dexp-inverse
     series truncated at order 2 (an RKMK stage).  Both return lists of
     Python floats, rounded exactly as _dexpinv_series over the loop
-    out[g] += c[a][b][g] * u[a] * v[b] in np.argwhere order."""
+    out[g] += c[a][b][g] * u[a] * v[b] in np.argwhere order.  element(w)
+    takes r floats (a list or a 1-D array) and returns the n x n matrix
+    sum_a w_a M_a as a float64 array."""
 
     generators: tuple
     structure_constants: np.ndarray
@@ -76,14 +80,20 @@ class AlgebraBasis:
                     )
         if np.linalg.matrix_rank(v, tol=1e-12 * max(1.0, np.abs(v).max())) < r:
             raise ValueError("generators are linearly dependent")
-        object.__setattr__(self, "_flat_generators", v)
-        # the (a, b, g) of the nonzero constants: 6 on CK, none if abelian
+        # the (a, b, g) of the nonzero constants: 6 on CK, none if abelian,
+        # and the (a, i) of the nonzero generator entries, M_a.flat[i]: 6 on CK
         pattern = tuple(map(tuple, np.argwhere(c).tolist()))
-        make = _compile_kernels(r, pattern)
-        constants = [c[abg].item() for abg in pattern]
-        bracket, dexpinv2 = make(*constants, _DEXPINV_COEFFS[1], _DEXPINV_COEFFS[2])
+        entries = tuple(map(tuple, np.argwhere(v).tolist()))
+        make = _compile_kernels(self.n, r, pattern, entries)
+        bracket, dexpinv2, element = make(
+            *[c[abg].item() for abg in pattern],
+            *[v[ai].item() for ai in entries],
+            _DEXPINV_COEFFS[1],
+            _DEXPINV_COEFFS[2],
+        )
         object.__setattr__(self, "bracket", bracket)
         object.__setattr__(self, "dexpinv2", dexpinv2)
+        object.__setattr__(self, "element", element)
 
     def __reduce__(self):
         # the kernels are closures, which pickle cannot store: the copy is
@@ -97,10 +107,6 @@ class AlgebraBasis:
     @property
     def n(self) -> int:
         return self.generators[0].shape[0]
-
-    def element(self, w: np.ndarray) -> np.ndarray:
-        """The matrix sum_a w_a M_a of the coordinate vector w."""
-        return (w @ self._flat_generators).reshape(self.n, self.n)
 
     @classmethod
     def from_generators(cls, generators: Sequence[np.ndarray]) -> "AlgebraBasis":
@@ -124,30 +130,37 @@ class AlgebraBasis:
         return cls(tuple(gens), c)
 
 
-def _kernel_source(r: int, pattern: tuple) -> str:
-    """Source of make(c0, .., b1, b2), which binds a basis's constants
-    c_k = c[a][b][g] at pattern[k] = (a, b, g) and the series coefficients
-    b1 = -1/2, b2 = 1/12 into its two kernels, bracket and dexpinv2.
+def _kernel_source(n: int, r: int, pattern: tuple, entries: tuple) -> str:
+    """Source of make(c0, .., e0, .., b1, b2), which binds a basis's constants
+    c_k = c[a][b][g] at pattern[k] = (a, b, g), its generator entries
+    e_k = M_a.flat[i] at entries[k] = (a, i) and the series coefficients
+    b1 = -1/2, b2 = 1/12 into its three kernels, bracket, dexpinv2 and
+    element.
 
     Each out[g] is 0.0 + c_k u[a] v[b] + ... over pattern in order, with
     (c_k u[a]) v[b] as the product, as in the loop it replaces; dexpinv2
-    forms k_k = c_k theta[a] once for both of its brackets."""
+    forms k_k = c_k theta[a] once for both of its brackets.  Each entry i of
+    element is 0.0 + e_k w[a] + ... over entries in order, the sum that
+    w @ (the stacked flat generators) forms from +0.0 with its zero terms
+    left out: the same bits where an entry has at most one nonzero term."""
 
     def unpack(x):
         return ", ".join(f"{x}{i}" for i in range(r)) + f", = {x}"
 
-    def sums(term):
-        rows = [["0.0"] for _ in range(r)]
-        for k, (a, b, g) in enumerate(pattern):
-            rows[g].append(term(k, a, b))
+    def sums(size, terms):
+        # the size sums 0.0 + term + ..., from (output index, term) in order
+        rows = [["0.0"] for _ in range(size)]
+        for at, term in terms:
+            rows[at].append(term)
         return [" + ".join(row) for row in rows]
 
-    bracket = sums(lambda k, a, b: f"c{k}*u{a}*v{b}")
-    p = sums(lambda k, a, b: f"k{k}*v{b}")
-    q = sums(lambda k, a, b: f"k{k}*p{b}")
-    params = [f"c{k}" for k in range(len(pattern))] + ["b1", "b2"]
+    bracket = sums(r, ((g, f"c{k}*u{a}*v{b}") for k, (a, b, g) in enumerate(pattern)))
+    p = sums(r, ((g, f"k{k}*v{b}") for k, (_, b, g) in enumerate(pattern)))
+    q = sums(r, ((g, f"k{k}*p{b}") for k, (_, b, g) in enumerate(pattern)))
+    matrix = sums(n * n, ((i, f"e{k}*w{a}") for k, (a, i) in enumerate(entries)))
+    params = [f"c{k}" for k in range(len(pattern))] + [f"e{k}" for k in range(len(entries))]
     lines = [
-        f"def make({', '.join(params)}):",
+        f"def make({', '.join(params + ['b1', 'b2'])}):",
         "    def bracket(u, v):",
         f"        {unpack('u')}",
         f"        {unpack('v')}",
@@ -161,19 +174,27 @@ def _kernel_source(r: int, pattern: tuple) -> str:
         *(f"        q{g} = {x}" for g, x in enumerate(q)),
         f"        return [{', '.join(f'(v{g} + b1*p{g}) + b2*q{g}' for g in range(r))}]",
         "",
-        "    return bracket, dexpinv2",
+        "    def element(w):",
+        f"        {unpack('w')}",
+        f"        return array([{', '.join(matrix)}]).reshape({n}, {n})",
+        "",
+        "    return bracket, dexpinv2, element",
     ]
     return "\n".join(lines) + "\n"
 
 
 @functools.cache
-def _compile_kernels(r: int, pattern: tuple):
+def _compile_kernels(n: int, r: int, pattern: tuple, entries: tuple):
     """make for the sparsity pattern (see _kernel_source), compiled once per
-    (r, pattern): straight-line code, because at r = 3 a call and a loop
-    step cost more than the arithmetic.  Each basis binds its own constants."""
-    namespace = {"__name__": __name__}
-    filename = f"<liesolve.algebra kernels, r={r}, {len(pattern)} constants>"
-    exec(compile(_kernel_source(r, pattern), filename, "exec"), namespace)
+    (n, r, pattern, entries): straight-line code, because at r = 3 a call
+    and a loop step cost more than the arithmetic.  Each basis binds its own
+    constants and generator entries."""
+    namespace = {"__name__": __name__, "array": np.array}
+    filename = (
+        f"<liesolve.algebra kernels, n={n}, r={r}, {len(pattern)} constants, "
+        f"{len(entries)} entries>"
+    )
+    exec(compile(_kernel_source(n, r, pattern, entries), filename, "exec"), namespace)
     return namespace["make"]
 
 

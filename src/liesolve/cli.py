@@ -284,7 +284,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FloatingPointError, OSError, ActionDomainError) as err:
+    except (ValueError, ArithmeticError, OSError, ActionDomainError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -2,9 +2,10 @@
 the group recursion Y_{k+1} = exp(W_k) Y_k, and a plain RK4 baseline.
 
 Each method samples b(t) at its nodes (_METHODS), and its kernel combines
-the samples into the coefficient vector w of W_k.  Magnus-4 and RKMK run
-their stages on Python float lists, through the basis's compiled kernels:
-the bracket and the order-2 dexp-inverse (AlgebraBasis.dexpinv2).
+the samples into the coordinates w of W_k, a list of r Python floats up to
+AlgebraBasis.element.  Magnus-4 and RKMK run their stages on such lists,
+through the basis's compiled kernels: the bracket and the order-2
+dexp-inverse (AlgebraBasis.dexpinv2).
 _group_step is the one place that samples b(t) and the one where w becomes
 exp(AlgebraBasis.element(w)), and _record, which every solver hands its
 step function, is the one loop over the time grid."""
@@ -17,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import AlgebraBasis, CoefficientSet, _check_arity
-from .matrixcore import mat_exp
+from .matrixcore import _all_finite, mat_exp
 
 # The samples each method's kernel, <method>_increment, combines, in order:
 # b(t_k + c h) ("values") or (b', b'') there ("derivatives") at the node c.
@@ -47,6 +48,14 @@ class NonFiniteStateError(_StepError, FloatingPointError):
     solution blew up)."""
 
 
+def _name_step(err: Exception, what: str, k: int, t: float) -> None:
+    """Rewrite err's message in place to "<what> at step k (t=t_k): <text>",
+    with the text err was first raised with: the same object, so its type
+    is kept, and an instance raised again names only its latest step."""
+    text = err.__dict__.setdefault("_liesolve_text", str(err))
+    err.args = (f"{what} at step {k} (t={t:g}): {text}",)
+
+
 @dataclass(frozen=True)
 class StepperConfig:
     """Method selection for the group-side stepper: magnus2, magnus4 or rkmk
@@ -69,26 +78,26 @@ class Trajectory:
     points: np.ndarray
 
 
-def magnus2_increment(basis: AlgebraBasis, samples: list, h: float) -> np.ndarray:
+def magnus2_increment(basis: AlgebraBasis, samples: list, h: float) -> list:
     """Order 2: W_k = h A(t_k + h/2), i.e. w = h b from samples = [b] there."""
     (b,) = samples
-    return h * np.array(b)
+    return [h * x for x in b]
 
 
-def magnus4_increment(basis: AlgebraBasis, samples: list, h: float) -> np.ndarray:
+def magnus4_increment(basis: AlgebraBasis, samples: list, h: float) -> list:
     """Order 4: from samples = [b, (b', b'')] at t_k + h/2,
     w = h b + h^3 (b''/24 - [b, b'/12]), the coordinates of
     h A + h^3 (A''/24 - [A, A'/12]) there."""
     b, (d1, d2) = samples
     ad = basis.bracket(b, [x / 12.0 for x in d1])
-    return np.array([h * x + h ** 3 * (y / 24.0 - z) for x, y, z in zip(b, d2, ad)])
+    return [h * x + h ** 3 * (y / 24.0 - z) for x, y, z in zip(b, d2, ad)]
 
 
 # Weights of the classical RK4 tableau, whose nodes are c = 0, 1/2, 1/2, 1.
 _RK4_WEIGHTS = np.array([1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0])
 
 
-def rkmk_increment(basis: AlgebraBasis, samples: list, h: float) -> np.ndarray:
+def rkmk_increment(basis: AlgebraBasis, samples: list, h: float) -> list:
     """RKMK on the classical RK4 tableau from samples = [b(t_k),
     b(t_k + h/2), b(t_k + h)]: F_1 = b(t_k), then F_l = dexpinv(T_l, b(t_k
     + c_l h)) with T_l = h F_1/2, h F_2/2, h F_3 at c_l = 1/2, 1/2, 1, and
@@ -103,7 +112,7 @@ def rkmk_increment(basis: AlgebraBasis, samples: list, h: float) -> np.ndarray:
     f3 = stage([h * (0.5 * x) for x in f2], b_half)
     f4 = stage([h * x for x in f3], b_end)
     # numpy's weighted sum: summed in Python the last bits of w change
-    return h * (_RK4_WEIGHTS @ np.array((f1, f2, f3, f4)))
+    return (h * (_RK4_WEIGHTS @ np.array((f1, f2, f3, f4)))).tolist()
 
 
 def _time_grid(t0: float, t1: float, n_steps: int):
@@ -133,7 +142,8 @@ def _group_step(basis: AlgebraBasis, coeffs: CoefficientSet, config: StepperConf
     A config that is not a StepperConfig raises TypeError here, before any
     step.  A non-finite W_k or E_k, or an OverflowError of a sample or an
     increment, raises NonFiniteStateError (_record adds the step and the
-    partial); a ValueError of the sampling, type kept, names step k and t_k."""
+    partial); a ValueError or ZeroDivisionError of the sampling, type kept,
+    names step k and t_k."""
     if not isinstance(config, StepperConfig):
         raise TypeError(f"config must be a StepperConfig, got {config!r}")
     increment = globals()[f"{config.method}_increment"]
@@ -147,8 +157,9 @@ def _group_step(basis: AlgebraBasis, coeffs: CoefficientSet, config: StepperConf
             w = increment(basis, samples, h)
         except OverflowError as err:  # a coefficient, or magnus4's h ** 3 for h >~ 5.6e102
             raise NonFiniteStateError(f"non-finite increment at step {k} (t={t:g})") from err
-        except ValueError as err:  # from the sampling: the kernels only do arithmetic
-            err.args = (f"coefficients failed at step {k} (t={t:g}): {err}",)
+        except (ValueError, ZeroDivisionError) as err:
+            # from the sampling: the kernels only do arithmetic
+            _name_step(err, "coefficients failed", k, t)
             raise
         try:
             return mat_exp(basis.element(w))
@@ -203,7 +214,7 @@ def integrate_group(
 
     def step(k, t, h, y):
         y = group_step(k, t, h).dot(y)  # ndarray.dot: see mat_exp
-        if not np.isfinite(y).all():
+        if not _all_finite(y):
             msg = f"non-finite group element at step {k} (t={t:g})"
             raise NonFiniteStateError(msg) from FloatingPointError("Y overflows")
         return y

@@ -20,10 +20,12 @@ from .integrators import (
     StepperConfig,
     Trajectory,
     _group_step,
+    _name_step,
     _record,
     _StepError,
     rk4_direct_step,
 )
+from .matrixcore import _all_finite
 
 
 class ActionDomainError(_StepError, RuntimeError):
@@ -113,7 +115,8 @@ def solve(
     The first failing step k raises the action's own ActionDomainError,
     subtype kept (outside the action's domain), or NonFiniteStateError (E_k
     or x blew up), with step=k and the trajectory up to t_k.  A ValueError
-    of the action keeps its type and names step k and t_k in its message."""
+    or ZeroDivisionError of the action keeps its type and names step k and
+    t_k in its message."""
     x = _initial_point(x0, sys.dim)
     group_step = _group_step(sys.basis, sys.coeffs, config)
 
@@ -123,14 +126,14 @@ def solve(
             x = sys.action.act(e, x)
         except ActionDomainError as err:
             # the same object, so that a subtype such as CoordinateChartError survives
-            err.args = (f"group action undefined at step {k} (t={t:g}): {err}",)
+            _name_step(err, "group action undefined", k, t)
             raise
-        except ValueError as err:
+        except (ValueError, ZeroDivisionError) as err:
             # e.g. an extractor that returns another count of coordinates
             # than there are flows; the same object, type kept
-            err.args = (f"group action failed at step {k} (t={t:g}): {err}",)
+            _name_step(err, "group action failed", k, t)
             raise
-        if not np.isfinite(x).all():
+        if not _all_finite(x):
             raise NonFiniteStateError(f"non-finite state at step {k} (t={t:g})")
         return x
 
@@ -145,16 +148,16 @@ def solve_direct_rk4(
     reads sys.rhs, and sys.dim if it has one (x0 of any shape otherwise).
 
     A state that blows up at step k raises NonFiniteStateError with step=k
-    and the trajectory up to t_k.  A ValueError of the rhs keeps its type
-    and names step k and t_k in its message."""
+    and the trajectory up to t_k.  A ValueError or ZeroDivisionError of the
+    rhs keeps its type and names step k and t_k in its message."""
 
     def step(k, t, h, x):
         try:
             return rk4_direct_step(sys.rhs, t, h, x)
         except FloatingPointError as err:
             raise NonFiniteStateError(f"non-finite RK4 state at step {k} (t={t})") from err
-        except ValueError as err:
-            err.args = (f"rhs failed at step {k} (t={t:g}): {err}",)
+        except (ValueError, ZeroDivisionError) as err:
+            _name_step(err, "rhs failed", k, t)
             raise
 
     return _record(_initial_point(x0, getattr(sys, "dim", None)), t0, t1, n_steps, step)

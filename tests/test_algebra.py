@@ -13,8 +13,12 @@ from liesolve.algebra import (
     _compile_kernels,
     dexpinv,
 )
+from liesolve.benchmarks import limit_cycle_system
 from liesolve.ckspaces import CKParams, ck_generators
 from liesolve.matrixcore import commutator
+
+
+KAPPAS = (-0.5, 0.0, 0.8)
 
 
 def single_generator_basis():
@@ -278,6 +282,46 @@ def test_element_and_ad_match_commutator(coordinate_system):
         assert np.linalg.norm(got - expected) <= 1e-13 * max(np.linalg.norm(expected), 1.0)
 
 
+def _flat_product(basis, w):
+    """sum_a w_a M_a as the product of w with the stacked flat generators."""
+    flat = np.stack([g.ravel() for g in basis.generators])
+    return (np.asarray(w) @ flat).reshape(basis.n, basis.n)
+
+
+def test_element_is_the_flat_product_to_the_bit():
+    # where no matrix entry sums two nonzero generator entries: the CK bases
+    # of all nine sign classes, the limit cycle's diagonal one and sl(2);
+    # the bytes compare the signs of zeros too
+    e, f = np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 0.0]])
+    bases = [ck_generators(CKParams(k1, k2)) for k1 in KAPPAS for k2 in KAPPAS]
+    bases.append(limit_cycle_system(math.sin, math.exp).basis)
+    bases.append(AlgebraBasis.from_generators((e, f, np.diag([1.0, -1.0]))))
+    rng = np.random.default_rng(21)
+    for basis in bases:
+        r = basis.r
+        ws = rng.normal(size=(20, r)).tolist() + [[0.0] * r, [-0.0] * r, [-1.0, 0.0, 2.0][:r]]
+        for w in ws:
+            expected = _flat_product(basis, w).tobytes()
+            for arg in (w, np.array(w)):
+                got = basis.element(arg)
+                assert got.dtype == np.float64 and got.shape == (basis.n, basis.n)
+                assert got.tobytes() == expected, (basis, w)
+
+
+def test_element_of_a_dense_basis():
+    # so(3) in a rotated frame: each entry sums three terms, which numpy's
+    # product may round otherwise (fused multiply-adds)
+    q = np.linalg.qr(np.random.default_rng(22).normal(size=(3, 3)))[0]
+    rotations = [np.zeros((3, 3)) for _ in range(3)]
+    for a, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
+        rotations[a][i, j], rotations[a][j, i] = -1.0, 1.0
+    basis = AlgebraBasis.from_generators([q @ m @ q.T for m in rotations])
+    flat = np.abs(np.stack([g.ravel() for g in basis.generators]))
+    for w in np.random.default_rng(23).normal(size=(50, 3)).tolist():
+        error = np.abs(basis.element(w) - _flat_product(basis, w)).ravel()
+        assert (error <= 1e-15 * (np.abs(w) @ flat)).all(), w
+
+
 def test_kernels_are_compiled_once_per_sparsity_pattern():
     # every CK basis with nonzero kappa has the same six nonzero constants:
     # one compiled kernel, bound to each basis's own constants
@@ -288,9 +332,11 @@ def test_kernels_are_compiled_once_per_sparsity_pattern():
     assert _compile_kernels.cache_info().misses - misses <= 1
     assert len({b.bracket.__code__ for b in bases}) == 1
     assert len({b.dexpinv2.__code__ for b in bases}) == 1
-    # the constants differ: [P1, P2] = -kappa1 J12
+    assert len({b.element.__code__ for b in bases}) == 1
+    # the constants and entries differ: [P1, P2] = -kappa1 J12, M_P1[0, 1] = kappa1
     for basis, (k1, _) in zip(bases[:5], kappas.tolist()):
         assert basis.bracket([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]) == [0.0, 0.0, -k1]
+        assert basis.element([1.0, 0.0, 0.0])[0, 1] == k1
     # the generated code names this module in tracebacks
     assert bases[0].bracket.__module__ == "liesolve.algebra"
     assert "liesolve.algebra" in bases[0].bracket.__code__.co_filename
@@ -303,6 +349,7 @@ def test_basis_pickle_and_deepcopy_keep_the_kernels(coordinate_system):
         assert np.array_equal(copied.structure_constants, basis.structure_constants)
         assert copied.bracket(u, v) == basis.bracket(u, v)
         assert copied.dexpinv2(u, v) == basis.dexpinv2(u, v)
+        assert copied.element(u).tobytes() == basis.element(u).tobytes()
 
 
 def test_coefficient_derivatives_analytic_and_finite_difference(coordinate_system):

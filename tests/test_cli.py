@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from liesolve import cli
+from liesolve.algebra import CoefficientSet
 from liesolve.cli import main
 
 CLI_REFS = Path(__file__).resolve().parents[1] / "bench" / "cli_refs"
@@ -275,4 +276,17 @@ def test_ck_rejects_a_non_finite_x0(tmp_path, capsys):
     assert main(["ck", "--x0", "1,nan,1", "--steps", "10", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err == "error: initial point x0 must be finite, got x0=[1.0, nan, 1.0]\n"
+    assert not out.exists()
+
+
+def test_an_arithmetic_error_exits_with_code_2(tmp_path, monkeypatch, capsys):
+    # b = 1/(t - 3.5): the rkmk step from t = 3 at h = 0.5 samples t = 3.5;
+    # the ZeroDivisionError ended the command in a traceback
+    inverse = lambda t: 1.0 / (t - 3.5)
+    monkeypatch.setattr(cli, "ck_benchmark_coefficients",
+                        lambda: CoefficientSet(funcs=(inverse,) * 3))
+    out = tmp_path / "ck.csv"
+    assert main(["ck", "--steps", "2", "--ref-steps", "20", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: coefficients failed at step 0 (t=3): float division by zero\n"
     assert not out.exists()

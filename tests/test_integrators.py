@@ -83,7 +83,7 @@ def test_magnus2_midpoint_evaluation():
     basis = ck_generators(ck)
     coeffs = ck_benchmark_coefficients()
     w = increment("magnus2", basis, coeffs, 3.0, 0.1)
-    assert w.shape == (3,)
+    assert np.asarray(w).shape == (3,)
     assert np.allclose(basis.element(w), 0.1 * a_matrix(basis, coeffs, 3.05), atol=1e-15)
 
 
@@ -450,9 +450,18 @@ def test_magnus_increments_are_time_symmetric(coordinate_system, method):
     basis, coeffs = coordinate_system
     for t in (0.3, 1.0, 3.0):
         for h in (0.1, 0.01, 1e-3):
-            w = increment(method, basis, coeffs, t, h)
-            back = increment(method, basis, coeffs, t + h, -h)
+            w = np.asarray(increment(method, basis, coeffs, t, h))
+            back = np.asarray(increment(method, basis, coeffs, t + h, -h))
             assert np.linalg.norm(w + back) <= 2e-15 * np.linalg.norm(w), (t, h)
+
+
+def test_increments_are_lists_of_r_python_floats(coordinate_system):
+    # w stays in Python floats from the samples to AlgebraBasis.element
+    basis, coeffs = coordinate_system
+    for method in GEOMETRIC_METHODS:
+        w = increment(method, basis, coeffs, 0.3, 0.1)
+        assert type(w) is list and len(w) == basis.r, method
+        assert all(type(x) is float for x in w), method
 
 
 # The classical RK4 tableau (a, b, c), the one rkmk_increment runs.

@@ -439,6 +439,78 @@ def test_a_failing_coefficient_keeps_its_error_object():
     assert excinfo.value is raised[-1]
 
 
+def test_a_zero_division_names_its_step():
+    # b1 = 1/t on [-1, 1] at N = 4: rkmk's sample at t_1 + h = 0 and RK4's
+    # last stage there divide by zero (the Magnus nodes miss t = 0); the
+    # error ended both solves bare, without its step
+    raised = []
+
+    def inverse(t):
+        try:
+            return 1 / t
+        except ZeroDivisionError as err:
+            raised.append(err)
+            raise
+
+    system = limit_cycle_system(inverse, math.exp)
+    runs = (
+        (lambda: solve(system, [0.5, 0.0], -1.0, 1.0, 4, StepperConfig("rkmk")), "coefficients"),
+        (lambda: solve_direct_rk4(system, [0.5, 0.0], -1.0, 1.0, 4), "rhs"),
+    )
+    for run, what in runs:
+        with pytest.raises(ZeroDivisionError) as excinfo:
+            run()
+        assert excinfo.value is raised[-1]
+        assert type(excinfo.value) is ZeroDivisionError
+        assert str(excinfo.value) == f"{what} failed at step 1 (t=-0.5): float division by zero"
+        assert getattr(excinfo.value, "step", None) is None
+
+
+def test_solve_names_the_step_of_a_zero_division_in_the_action():
+    system = ck_lie_system(CKParams(0.8, -0.5), ck_benchmark_coefficients(), "flow-composition")
+    flows, chart = system.action.flows, system.action.extract
+    calls = []
+
+    def extract(g):
+        calls.append(g)
+        return chart(g) if len(calls) < 3 else [x / 0.0 for x in chart(g)]
+
+    system = dataclasses.replace(system, action=GroupAction(flows, extract))
+    with pytest.raises(ZeroDivisionError) as excinfo:
+        solve(system, [1.0, 1.0, 1.0], 3.0, 4.0, 10, StepperConfig("magnus2"))
+    assert type(excinfo.value) is ZeroDivisionError
+    assert str(excinfo.value) == "group action failed at step 2 (t=3.2): float division by zero"
+
+
+def test_a_reused_error_names_only_its_latest_step():
+    # one stored ValueError raised by every call: each solve rewrote the
+    # message of the same object, so the second read "coefficients failed
+    # at step 0 (t=0): coefficients failed at step 0 (t=0): no value"
+    stored = ValueError("no value")
+
+    def fail(_):
+        raise stored
+
+    system = limit_cycle_system(fail, math.exp)
+    runs = [
+        (lambda m=m: solve(system, [0.5, 0.0], 0.0, 1.0, 4, StepperConfig(m)),
+         "coefficients failed at step 0 (t=0)")
+        for m in GEOMETRIC_METHODS
+    ]
+    runs.append((lambda: solve_direct_rk4(system, [0.5, 0.0], 0.0, 1.0, 4),
+                 "rhs failed at step 0 (t=0)"))
+    ck = ck_lie_system(CKParams(0.8, -0.5), ck_benchmark_coefficients(), "flow-composition")
+    ck = dataclasses.replace(ck, action=GroupAction(ck.action.flows, fail))
+    runs.append((lambda: solve(ck, [1.0, 1.0, 1.0], 3.0, 4.0, 4, StepperConfig("magnus2")),
+                 "group action failed at step 0 (t=3)"))
+    for run, prefix in runs:
+        for _ in range(2):
+            with pytest.raises(ValueError) as excinfo:
+                run()
+            assert excinfo.value is stored
+            assert str(stored) == f"{prefix}: no value"
+
+
 @pytest.mark.parametrize("method", GEOMETRIC_METHODS)
 def test_solve_reports_increment_overflow(method):
     # w = h b = 10 * 1e308 overflows: a typed step error with the partial

@@ -32,8 +32,11 @@ The groups:
 * errors: inputs that fail, by each geometric method and by direct RK4
   where a system is solved: the stock CK system on [-3, -1.5], where
   b12 = ln(t + 1) has no value; a nan coefficient; an x0 of the wrong
-  size; a config that is not a StepperConfig; and bad grids (t1 <= t0,
-  no steps, 2.5 steps, an infinite t0);
+  size; a config that is not a StepperConfig; bad grids (t1 <= t0,
+  no steps, 2.5 steps, an infinite t0); the limit cycle with b1 = 1/t on
+  [-1, 1] at N = 4, which divides by zero at t = 0; and the limit cycle
+  with a b1 that raises one stored ValueError, solved twice, the second
+  outcome digested;
 * cli: the four CLI commands the benchmark runs (ck --ref-steps 100,
   convergence --ref-steps 800, limit-cycle, riccati-check), each in an
   empty temporary directory.
@@ -172,6 +175,23 @@ def _error_cases():
     yield "config", functools.partial(solve, system, CK_X0, 3.0, 4.0, 10, "rkmk")
     for t0, t1, n in ((4.0, 3.0, 10), (3.0, 4.0, 0), (3.0, 4.0, 2.5), (-math.inf, 4.0, 10)):
         yield from _solves(system, CK_X0, t0, t1, n)
+    # b1 = 1/t divides by zero at t = 0, a node of rkmk and RK4 on this grid
+    yield from _solves(limit_cycle_system(lambda t: 1 / t, math.exp), (0.5, 0.0), -1.0, 1.0, 4)
+    stored = ValueError("no value")
+
+    def no_value(t):
+        raise stored
+
+    for label, run in _solves(limit_cycle_system(no_value, math.exp), (0.5, 0.0), 0.0, 1.0, 4):
+        yield ("twice",) + label, functools.partial(_second_run, run)
+
+
+def _second_run(run):
+    """run() after a first run() whose error is dropped: the outcome of an
+    error object raised a second time."""
+    with contextlib.suppress(Exception):
+        run()
+    return run()
 
 
 def _run_cli(h, argv) -> None:
