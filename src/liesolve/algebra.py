@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .matrixcore import DimensionMismatchError, commutator
+from .matrixcore import DimensionMismatchError, _real_array, commutator
 
 # The dexp-inverse series coefficients B_i / i!, in the Bernoulli convention
 # B_1 = -1/2 that makes the truncation read H - [W,H]/2 + [W,[W,H]]/12 + ...
@@ -56,9 +56,9 @@ class AlgebraBasis:
     structure_constants: np.ndarray
 
     def __post_init__(self):
-        gens = tuple(np.asarray(g, dtype=float) for g in self.generators)
+        gens = tuple(_real_array(g, "generators") for g in self.generators)
         object.__setattr__(self, "generators", gens)
-        c = np.asarray(self.structure_constants, dtype=float)
+        c = _real_array(self.structure_constants, "structure constants")
         object.__setattr__(self, "structure_constants", c)
         _check_generators(gens)
         r = len(gens)
@@ -112,7 +112,7 @@ class AlgebraBasis:
     def from_generators(cls, generators: Sequence[np.ndarray]) -> "AlgebraBasis":
         """Derive structure constants by least squares on the vectorized
         generators (they must actually close under the bracket)."""
-        gens = [np.asarray(g, dtype=float) for g in generators]
+        gens = [_real_array(g, "generators") for g in generators]
         _check_generators(gens)
         r = len(gens)
         v = np.stack([g.ravel() for g in gens]).T  # (n^2, r)

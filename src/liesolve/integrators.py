@@ -6,9 +6,10 @@ the samples into the coordinates w of W_k, a list of r Python floats up to
 AlgebraBasis.element.  Magnus-4 and RKMK run their stages on such lists,
 through the basis's compiled kernels: the bracket and the order-2
 dexp-inverse (AlgebraBasis.dexpinv2).
-_group_step is the one place that samples b(t) and the one where w becomes
-exp(AlgebraBasis.element(w)), and _record, which every solver hands its
-step function, is the one loop over the time grid."""
+_group_step, the one group-side step, samples b(t) and moves x to
+act(exp(AlgebraBasis.element(w)), x) for integrate_group (act = ndarray.dot)
+and liesystem.solve alike; _record, which every solver hands its step
+function, is the one loop over the time grid."""
 
 import math
 import operator
@@ -46,6 +47,11 @@ class _StepError(Exception):
 class NonFiniteStateError(_StepError, FloatingPointError):
     """The group element or the manifold state stopped being finite (the
     solution blew up)."""
+
+
+class ActionDomainError(_StepError, RuntimeError):
+    """The group action is local and was asked for a point outside its
+    domain."""
 
 
 def _name_step(err: Exception, what: str, k: int, t: float) -> None:
@@ -135,21 +141,22 @@ def _time_grid(t0: float, t1: float, n_steps: int):
     return h, t0 + h * np.arange(n_steps + 1)
 
 
-def _group_step(basis: AlgebraBasis, coeffs: CoefficientSet, config: StepperConfig):
-    """The group step of a solve: step(k, t, h) samples b at the method's
-    nodes and returns E_k = exp(W_k).
+def _group_step(basis: AlgebraBasis, coeffs: CoefficientSet, config: StepperConfig, act):
+    """The group-side step of a solve: step(k, t, h, x) samples b at the
+    method's nodes and returns act(E_k, x) for E_k = exp(W_k).
 
     A config that is not a StepperConfig raises TypeError here, before any
-    step.  A non-finite W_k or E_k, or an OverflowError of a sample or an
-    increment, raises NonFiniteStateError (_record adds the step and the
-    partial); a ValueError or ZeroDivisionError of the sampling, type kept,
-    names step k and t_k."""
+    step.  A non-finite W_k, E_k or act(E_k, x), or an OverflowError of a
+    sample or an increment, raises NonFiniteStateError (_record adds the
+    step and the partial).  act's ActionDomainError and a TypeError,
+    ValueError or ZeroDivisionError of the sampling or of act name step k
+    and t_k in the same object, type kept."""
     if not isinstance(config, StepperConfig):
         raise TypeError(f"config must be a StepperConfig, got {config!r}")
     increment = globals()[f"{config.method}_increment"]
     samplers = [(getattr(coeffs, what), c) for what, c in _METHODS[config.method]]
 
-    def step(k: int, t: float, h: float) -> np.ndarray:
+    def step(k: int, t: float, h: float, x: np.ndarray) -> np.ndarray:
         try:
             samples = []
             for sample, c in samplers:
@@ -157,26 +164,41 @@ def _group_step(basis: AlgebraBasis, coeffs: CoefficientSet, config: StepperConf
             w = increment(basis, samples, h)
         except OverflowError as err:  # a coefficient, or magnus4's h ** 3 for h >~ 5.6e102
             raise NonFiniteStateError(f"non-finite increment at step {k} (t={t:g})") from err
-        except (ValueError, ZeroDivisionError) as err:
+        except (TypeError, ValueError, ZeroDivisionError) as err:
             # from the sampling: the kernels only do arithmetic
             _name_step(err, "coefficients failed", k, t)
             raise
         try:
-            return mat_exp(basis.element(w))
+            e = mat_exp(basis.element(w))
         except (FloatingPointError, ValueError) as err:
             # mat_exp raises ValueError for a W_k whose increment overflowed
             raise NonFiniteStateError(f"non-finite group element at step {k} (t={t:g})") from err
+        try:
+            x = act(e, x)
+        except ActionDomainError as err:
+            # the same object, so that a subtype such as CoordinateChartError survives
+            _name_step(err, "group action undefined", k, t)
+            raise
+        except (TypeError, ValueError, ZeroDivisionError) as err:
+            # e.g. an extractor that returns another count of coordinates
+            # than there are flows; the same object, type kept
+            _name_step(err, "group action failed", k, t)
+            raise
+        if not _all_finite(x):
+            raise NonFiniteStateError(f"non-finite state at step {k} (t={t:g})")
+        return x
 
     return step
 
 
+@np.errstate(over="ignore", invalid="ignore")  # each step checks its state is finite
 def _record(x0: np.ndarray, t0: float, t1: float, n_steps: int, step) -> Trajectory:
     """The one stepping loop: x_{k+1} = step(k, t_k, h, x_k) over the grid
     of _time_grid(t0, t1, n_steps), one row per time from x0.
 
     An error at step k leaves with the trajectory cut to rows 0..k; a
     _StepError also gets step=k and that trajectory as its partial.  The
-    steps run under the calling solver's np.errstate."""
+    steps run without numpy's overflow and invalid warnings."""
     h, times = _time_grid(t0, t1, n_steps)
     points = np.empty((len(times),) + x0.shape)
     points[0] = x = x0
@@ -195,7 +217,6 @@ def _record(x0: np.ndarray, t0: float, t1: float, n_steps: int, step) -> Traject
     return Trajectory(times, points)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # the step checks Y is finite
 def integrate_group(
     basis: AlgebraBasis,
     coeffs: CoefficientSet,
@@ -210,15 +231,8 @@ def integrate_group(
     A Y_{k+1} that is not finite raises NonFiniteStateError with step=k and
     the group trajectory up to t_k."""
     _check_arity(basis, coeffs)
-    group_step = _group_step(basis, coeffs, config)
-
-    def step(k, t, h, y):
-        y = group_step(k, t, h).dot(y)  # ndarray.dot: see mat_exp
-        if not _all_finite(y):
-            msg = f"non-finite group element at step {k} (t={t:g})"
-            raise NonFiniteStateError(msg) from FloatingPointError("Y overflows")
-        return y
-
+    # the group acting on itself by left multiplication; ndarray.dot: see mat_exp
+    step = _group_step(basis, coeffs, config, np.ndarray.dot)
     return _record(np.eye(basis.n), t0, t1, n_steps, step)
 
 

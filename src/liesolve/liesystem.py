@@ -1,7 +1,7 @@
-"""Lie systems and their geometric solver.  Each step of solve makes the
-group step E_k = exp(W_k), then moves the point with the group action,
-x_{k+1} = phi(E_k, x_k); the run ends at the first step that fails.  solve
-never forms Y_k: only integrate_group does.
+"""Lie systems and their geometric solver.  solve hands the one group-side
+step (integrators._group_step) the system's action: each step makes
+E_k = exp(W_k) and moves the point, x_{k+1} = phi(E_k, x_k).  The run ends at
+the first failing step; solve never forms Y_k, only integrate_group does.
 
 The incremental update is the reading consistent with the cumulative form
 x(t) = phi(Y(t), x0) and with Y_{k+1} = E_k Y_k; both paths are cross-checked
@@ -15,22 +15,17 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .algebra import AlgebraBasis, CoefficientSet, _check_arity
-from .integrators import (
+from .integrators import (  # ActionDomainError: re-exported
+    ActionDomainError,
     NonFiniteStateError,
     StepperConfig,
     Trajectory,
     _group_step,
     _name_step,
     _record,
-    _StepError,
     rk4_direct_step,
 )
-from .matrixcore import _all_finite
-
-
-class ActionDomainError(_StepError, RuntimeError):
-    """The group action is local and was asked for a point outside its
-    domain."""
+from .matrixcore import _real_array
 
 
 class GroupAction:
@@ -90,8 +85,8 @@ class LieSystemSpec:
 
 def _initial_point(x0, dim: Optional[int]) -> np.ndarray:
     """x0 as a float array of shape (dim,), any shape if dim is None; a bad
-    one raises ValueError before any step, so that no step is blamed for it."""
-    x = np.asarray(x0, dtype=float)
+    one raises before any step, so that no step is blamed for it."""
+    x = _real_array(x0, "initial point x0")
     if not np.isfinite(x).all():
         raise ValueError(f"initial point x0 must be finite, got x0={x.tolist()}")
     if dim is not None and x.shape != (dim,):
@@ -99,7 +94,6 @@ def _initial_point(x0, dim: Optional[int]) -> np.ndarray:
     return x
 
 
-@np.errstate(over="ignore", invalid="ignore")  # each step checks x is finite
 def solve(
     sys: LieSystemSpec,
     x0: Sequence[float],
@@ -114,33 +108,13 @@ def solve(
 
     The first failing step k raises the action's own ActionDomainError,
     subtype kept (outside the action's domain), or NonFiniteStateError (E_k
-    or x blew up), with step=k and the trajectory up to t_k.  A ValueError
-    or ZeroDivisionError of the action keeps its type and names step k and
-    t_k in its message."""
+    or x blew up), with step=k and the trajectory up to t_k.  A TypeError,
+    ValueError or ZeroDivisionError of the action keeps its type and names
+    step k and t_k in its message."""
     x = _initial_point(x0, sys.dim)
-    group_step = _group_step(sys.basis, sys.coeffs, config)
-
-    def step(k, t, h, x):
-        e = group_step(k, t, h)
-        try:
-            x = sys.action.act(e, x)
-        except ActionDomainError as err:
-            # the same object, so that a subtype such as CoordinateChartError survives
-            _name_step(err, "group action undefined", k, t)
-            raise
-        except (ValueError, ZeroDivisionError) as err:
-            # e.g. an extractor that returns another count of coordinates
-            # than there are flows; the same object, type kept
-            _name_step(err, "group action failed", k, t)
-            raise
-        if not _all_finite(x):
-            raise NonFiniteStateError(f"non-finite state at step {k} (t={t:g})")
-        return x
-
-    return _record(x, t0, t1, n_steps, step)
+    return _record(x, t0, t1, n_steps, _group_step(sys.basis, sys.coeffs, config, sys.action.act))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # rk4_direct_step checks x is finite
 def solve_direct_rk4(
     sys: LieSystemSpec, x0: Sequence[float], t0: float, t1: float, n_steps: int
 ) -> Trajectory:
@@ -148,15 +122,15 @@ def solve_direct_rk4(
     reads sys.rhs, and sys.dim if it has one (x0 of any shape otherwise).
 
     A state that blows up at step k raises NonFiniteStateError with step=k
-    and the trajectory up to t_k.  A ValueError or ZeroDivisionError of the
-    rhs keeps its type and names step k and t_k in its message."""
+    and the trajectory up to t_k.  A TypeError, ValueError or
+    ZeroDivisionError of the rhs keeps its type and names step k and t_k."""
 
     def step(k, t, h, x):
         try:
             return rk4_direct_step(sys.rhs, t, h, x)
         except FloatingPointError as err:
             raise NonFiniteStateError(f"non-finite RK4 state at step {k} (t={t})") from err
-        except (ValueError, ZeroDivisionError) as err:
+        except (TypeError, ValueError, ZeroDivisionError) as err:
             _name_step(err, "rhs failed", k, t)
             raise
 

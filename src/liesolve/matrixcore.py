@@ -20,6 +20,7 @@ _DEGREE_BOUNDS = [
 ]
 # 1 / j! for j <= TAYLOR_ORDER, each correctly rounded (j! is exact in a float)
 _INV_FACTORIALS = [1.0 / math.factorial(j) for j in range(TAYLOR_ORDER + 1)]
+_FLOAT64 = np.dtype(float)  # the dtype of every matrix a step passes to mat_exp
 
 
 @functools.cache
@@ -35,6 +36,14 @@ def _eye_terms(n: int) -> tuple:
 
 class DimensionMismatchError(ValueError):
     pass
+
+
+def _real_array(a, name: str) -> np.ndarray:
+    """a as a float64 array; complex entries, whose imaginary parts
+    np.asarray(a, dtype=float) drops with a warning, raise TypeError."""
+    if np.asarray(a).dtype.kind == "c":
+        raise TypeError(f"{name} must be real, got complex entries")
+    return np.asarray(a, dtype=float)
 
 
 def _all_finite(a: np.ndarray) -> bool:
@@ -72,8 +81,10 @@ def mat_exp(a: np.ndarray) -> np.ndarray:
     the Taylor path when the squarings do (with s = 0 the polynomial is
     bounded by e^(1/4) and is not checked), and on both when ||A||_F itself
     overflows although the entries are finite.  An entry that is not
-    finite raises ValueError.
+    finite raises ValueError, and a complex A TypeError.
     """
+    if getattr(a, "dtype", None) is not _FLOAT64:  # the steps pass float64: no test
+        a = _real_array(a, "matrix A")
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"need a square matrix, got shape {a.shape}")

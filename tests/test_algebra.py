@@ -108,6 +108,24 @@ def test_from_generators_validation():
             AlgebraBasis(gens, np.zeros((len(gens),) * 3))
 
 
+def test_bases_reject_complex_input():
+    # np.asarray(g, dtype=float) dropped the imaginary part with only a
+    # ComplexWarning, so i sigma_x became the zero matrix
+    g = np.array([[0.0, 1j], [1j, 0.0]])
+    runs = (
+        (lambda: AlgebraBasis((g,), np.zeros((1, 1, 1))), "generators"),
+        (lambda: AlgebraBasis.from_generators([g]), "generators"),
+        (lambda: AlgebraBasis((g.imag,), np.zeros((1, 1, 1), dtype=complex)),
+         "structure constants"),
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for run, name in runs:
+            with pytest.raises(TypeError, match=f"^{name} must be real, got complex entries$"):
+                run()
+    assert caught == []
+
+
 def test_from_generators_rejects_overflowing_commutators(capfd):
     # finite generators whose products overflow printed two RuntimeWarnings
     # (matmul overflow, invalid subtract) and then blamed the generators for

@@ -247,12 +247,15 @@ def test_integrate_group_reconstruction_invariant():
 
 def test_integrate_group_reports_overflow_step():
     basis, coeffs = constant_basis_coeffs(np.array([[1.0]]), value=100.0)
-    # Y_{k+1} = e^{100 (k+1)} overflows first at k = 7
-    with pytest.raises(NonFiniteStateError) as excinfo:
-        integrate_group(basis, coeffs, StepperConfig("magnus2"), 0.0, 10.0, 10)
+    # Y_{k+1} = e^{100 (k+1)} overflows first at k = 7, in E_k.dot(Y_k):
+    # the typed error of any moved state, not numpy's RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteStateError) as excinfo:
+            integrate_group(basis, coeffs, StepperConfig("magnus2"), 0.0, 10.0, 10)
     err = excinfo.value
     assert err.step == 7
-    assert "t=7" in str(err)
+    assert str(err) == "non-finite state at step 7 (t=7)"
     group = err.partial
     assert len(group.times) == len(group.points) == 8
     assert np.all(np.isfinite(group.points[-1]))
@@ -275,6 +278,27 @@ def test_integrate_group_reports_exp_overflow_step():
         assert err.step == 0
         assert isinstance(err.__cause__, FloatingPointError)
         assert len(err.partial.times) == len(err.partial.points) == 1
+
+
+@pytest.mark.parametrize(
+    "bad", [lambda t: None, lambda t: np.array([t, t])], ids=["None", "vector"]
+)
+def test_a_coefficient_of_the_wrong_type_names_its_step(bad):
+    # float() of None or of a 2-vector raised a bare TypeError, without the
+    # step that sampled it; it keeps its type, as a ValueError does
+    coeffs = ck_benchmark_coefficients()
+    coeffs = CoefficientSet(funcs=(coeffs.funcs[0], bad, coeffs.funcs[2]))
+    system = ck_lie_system(CKParams(0.8, -0.5), coeffs)
+    for method in GEOMETRIC_METHODS:
+        runs = (
+            lambda: solve(system, [1.0, 1.0, 1.0], 3.0, 4.0, 4, StepperConfig(method)),
+            lambda: integrate_group(system.basis, coeffs, StepperConfig(method), 3.0, 4.0, 4),
+        )
+        for run in runs:
+            with pytest.raises(TypeError) as excinfo:
+                run()
+            assert type(excinfo.value) is TypeError, method
+            assert str(excinfo.value).startswith("coefficients failed at step 0 (t=3): "), method
 
 
 @pytest.mark.parametrize("method", GEOMETRIC_METHODS)

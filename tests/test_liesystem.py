@@ -482,6 +482,60 @@ def test_solve_names_the_step_of_a_zero_division_in_the_action():
     assert str(excinfo.value) == "group action failed at step 2 (t=3.2): float division by zero"
 
 
+def test_an_extractor_of_the_wrong_type_names_its_step():
+    # an extractor that returns None ended the solve in a bare TypeError
+    # from len(); it keeps its type, as a ValueError of the action does
+    system = ck_lie_system(CKParams(0.8, -0.5), ck_benchmark_coefficients(), "flow-composition")
+    system = dataclasses.replace(system, action=GroupAction(system.action.flows, lambda g: None))
+    with pytest.raises(TypeError) as excinfo:
+        solve(system, [1.0, 1.0, 1.0], 3.0, 4.0, 10, StepperConfig("magnus2"))
+    assert type(excinfo.value) is TypeError
+    assert str(excinfo.value) == (
+        "group action failed at step 0 (t=3): object of type 'NoneType' has no len()"
+    )
+
+
+def test_an_rhs_of_the_wrong_type_names_its_step():
+    # an rhs that returns an object() ended RK4 in a bare TypeError from
+    # float(); it keeps its type, as a ValueError of the rhs does
+    system = SimpleNamespace(rhs=lambda t, x: object())
+    with pytest.raises(TypeError) as excinfo:
+        solve_direct_rk4(system, [0.5, 0.0], 0.0, 1.0, 4)
+    assert type(excinfo.value) is TypeError
+    assert str(excinfo.value).startswith("rhs failed at step 0 (t=0): float() argument must be")
+
+
+def test_solve_direct_rk4_reports_overflow_without_a_warning():
+    # the rhs overflows in numpy at step 0's second stage: the typed step
+    # error, not the RuntimeWarning, also with warnings turned into errors
+    system = SimpleNamespace(rhs=lambda t, x: x * 1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteStateError) as excinfo:
+            solve_direct_rk4(system, np.array([1.0, 1.0]), 0.0, 1.0, 4)
+    assert excinfo.value.step == 0
+    assert excinfo.value.partial.points.tolist() == [[1.0, 1.0]]
+
+
+def test_solvers_reject_a_complex_initial_point():
+    # np.asarray(x0, dtype=float) dropped the imaginary part with only a
+    # ComplexWarning and solved from the real part
+    _, system = ck_setup()
+    runs = [lambda x0: solve_direct_rk4(system, x0, 3.0, 4.0, 10)]
+    runs += [
+        lambda x0, m=m: solve(system, x0, 3.0, 4.0, 10, StepperConfig(m))
+        for m in GEOMETRIC_METHODS
+    ]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for run in runs:
+            for x0 in (np.array([1.0, 1j, 1.0]), [1.0, 1.0 + 0j, 1.0]):
+                expected = "^initial point x0 must be real, got complex entries$"
+                with pytest.raises(TypeError, match=expected):
+                    run(x0)
+    assert caught == []
+
+
 def test_a_reused_error_names_only_its_latest_step():
     # one stored ValueError raised by every call: each solve rewrote the
     # message of the same object, so the second read "coefficients failed

@@ -100,6 +100,17 @@ def test_mat_exp_large_norm_accuracy():
         assert np.linalg.norm(got - ref) / np.linalg.norm(ref) <= 1e-12
 
 
+def test_mat_exp_rejects_a_complex_matrix():
+    # np.asarray(a, dtype=float) dropped the imaginary part with only a
+    # ComplexWarning and returned exp(0) = I for i sigma_x
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for a in (np.array([[0, 1j], [1j, 0]]), [[0.0, 1.0 + 0j], [0.0, 0.0]]):
+            with pytest.raises(TypeError, match="^matrix A must be real, got complex entries$"):
+                mat_exp(a)
+    assert caught == []
+
+
 def test_mat_exp_overflow_raises_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -34,9 +34,12 @@ The groups:
   b12 = ln(t + 1) has no value; a nan coefficient; an x0 of the wrong
   size; a config that is not a StepperConfig; bad grids (t1 <= t0,
   no steps, 2.5 steps, an infinite t0); the limit cycle with b1 = 1/t on
-  [-1, 1] at N = 4, which divides by zero at t = 0; and the limit cycle
+  [-1, 1] at N = 4, which divides by zero at t = 0; the limit cycle
   with a b1 that raises one stored ValueError, solved twice, the second
-  outcome digested;
+  outcome digested; integrate_group on the 1 x 1 basis with b = 100 on
+  [0, 10] at N = 10, whose Y overflows at step 7; and the TypeErrors of a
+  coefficient that returns None or a 2-vector, of a flow-composition
+  extractor that returns None and of an rhs that returns an object();
 * cli: the four CLI commands the benchmark runs (ck --ref-steps 100,
   convergence --ref-steps 800, limit-cycle, riccati-check), each in an
   empty temporary directory.
@@ -49,6 +52,7 @@ takes a few seconds.
 """
 
 import contextlib
+import dataclasses
 import functools
 import hashlib
 import io
@@ -66,7 +70,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from liesolve import cli  # noqa: E402
-from liesolve.algebra import CoefficientSet  # noqa: E402
+from liesolve.algebra import AlgebraBasis, CoefficientSet  # noqa: E402
 from liesolve.benchmarks import ck_benchmark_coefficients, limit_cycle_system  # noqa: E402
 from liesolve.ckspaces import CKParams, ck_generators, ck_lie_system  # noqa: E402
 from liesolve.integrators import (  # noqa: E402
@@ -74,7 +78,7 @@ from liesolve.integrators import (  # noqa: E402
     StepperConfig,
     integrate_group,
 )
-from liesolve.liesystem import solve, solve_direct_rk4  # noqa: E402
+from liesolve.liesystem import GroupAction, solve, solve_direct_rk4  # noqa: E402
 
 KAPPAS = (-0.5, 0.0, 0.8)
 CK_STEPS = (10, 40, 300)
@@ -184,6 +188,21 @@ def _error_cases():
 
     for label, run in _solves(limit_cycle_system(no_value, math.exp), (0.5, 0.0), 0.0, 1.0, 4):
         yield ("twice",) + label, functools.partial(_second_run, run)
+    # Y_k = e^{100 k} overflows first in E_7 Y_7
+    line = AlgebraBasis((np.eye(1),), np.zeros((1, 1, 1)))
+    hundred = CoefficientSet(funcs=(lambda t: 100.0,))
+    for method in GEOMETRIC_METHODS:
+        yield ("group overflow", method), functools.partial(
+            integrate_group, line, hundred, StepperConfig(method), 0.0, 10.0, 10
+        )
+    for bad in (lambda t: None, lambda t: np.array([t, t])):
+        funcs = CoefficientSet(funcs=(coeffs.funcs[0], bad, coeffs.funcs[2]))
+        yield from _solves(ck_lie_system(CKParams(0.8, -0.5), funcs), CK_X0, 3.0, 4.0, 10)
+    flows = ck_lie_system(CKParams(0.8, -0.5), coeffs, "flow-composition").action.flows
+    no_coords = dataclasses.replace(system, action=GroupAction(flows, lambda g: None))
+    yield from _solves(no_coords, CK_X0, 3.0, 4.0, 10)
+    no_slope = dataclasses.replace(system, rhs=lambda t, x: object())
+    yield "rhs type", functools.partial(solve_direct_rk4, no_slope, CK_X0, 3.0, 4.0, 10)
 
 
 def _second_run(run):
