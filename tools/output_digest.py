@@ -13,6 +13,7 @@ into that checkout's tools/ and run it there.
 What each case feeds its digest:
 
 * a solve that returns: its times and points, as float64 bytes;
+* a mat_exp call that returns: the matrix, as float64 bytes;
 * a solve that raises: the error's type name, message and step, and the
   times and points of its partial trajectory when it has one;
 * any warning raised during the case: its category and message;
@@ -39,7 +40,17 @@ The groups:
   outcome digested; integrate_group on the 1 x 1 basis with b = 100 on
   [0, 10] at N = 10, whose Y overflows at step 7; and the TypeErrors of a
   coefficient that returns None or a 2-vector, of a flow-composition
-  extractor that returns None and of an rhs that returns an object();
+  extractor that returns None and of an rhs that returns an object(); and
+  the limit cycle with a flow that returns complex values and with an
+  extractor that returns a complex coordinate;
+* mat-exp-n2-n3: matrixcore.mat_exp on random 2 x 2 and 3 x 3 matrices
+  (the Cayley-Hamilton path) at norms from 1e-9 to 10, among them one just
+  under each degree bound, so that every Taylor degree 1..12 and squaring
+  count 0..6 shows;
+* mat-exp-n4-diagonal: the same sweep at n = 4 (Horner), and diagonal
+  inputs at n = 2, 3 and 4 (the exact path, A = 0 and -0.0 off the
+  diagonal included), in a group of their own so that a change to the
+  n <= 3 path leaves this line as it was;
 * cli: the four CLI commands the benchmark runs (ck --ref-steps 100,
   convergence --ref-steps 800, limit-cycle, riccati-check), each in an
   empty temporary directory.
@@ -56,6 +67,7 @@ import dataclasses
 import functools
 import hashlib
 import io
+import itertools
 import math
 import os
 import sys
@@ -79,6 +91,7 @@ from liesolve.integrators import (  # noqa: E402
     integrate_group,
 )
 from liesolve.liesystem import GroupAction, solve, solve_direct_rk4  # noqa: E402
+from liesolve.matrixcore import _DEGREE_BOUNDS, mat_exp  # noqa: E402
 
 KAPPAS = (-0.5, 0.0, 0.8)
 CK_STEPS = (10, 40, 300)
@@ -87,6 +100,9 @@ METHODS = GEOMETRIC_METHODS + ("rk4",)
 LIMIT_CYCLE_STARTS = ((0.0, 0.0), (0.5, 0.0), (0.0, 1.0), (0.6, 0.8), (1.0 + 1e-9, 0.0),
                       (0.0, 1.2), (2.0, 0.0))
 LIMIT_CYCLE_RUNS = ((0.0, 2.0, 40), (0.0, 7.0, 70))
+MAT_EXP_NORMS = (1e-9, 1e-4, 6e-3, 0.05, 0.2, 0.26, 1.0, 1.6, 3.0, 6.0, 10.0) + tuple(
+    0.9 * bound for bound in _DEGREE_BOUNDS[:11]
+)
 CLI_COMMANDS = (
     ["ck", "--ref-steps", "100"],
     ["convergence", "--ref-steps", "800"],
@@ -121,7 +137,10 @@ def _outcome(h, label, run) -> None:
             if partial is not None:
                 _feed(h, partial.times, partial.points)
         else:
-            _feed(h, "ok", traj.times, traj.points)
+            if isinstance(traj, np.ndarray):  # a mat_exp case
+                _feed(h, "ok", traj)
+            else:
+                _feed(h, "ok", traj.times, traj.points)
     for w in caught:
         _feed(h, "warning", w.category.__name__, str(w.message))
 
@@ -203,6 +222,35 @@ def _error_cases():
     yield from _solves(no_coords, CK_X0, 3.0, 4.0, 10)
     no_slope = dataclasses.replace(system, rhs=lambda t, x: object())
     yield "rhs type", functools.partial(solve_direct_rk4, no_slope, CK_X0, 3.0, 4.0, 10)
+    lc = limit_cycle_system(lambda t: 1.0 + t * t, math.exp)
+    (f0, f1), lc_extract = lc.action.flows, lc.action.extract
+    complex_flow = GroupAction((lambda lam, x: f0(lam, x) + 1j, f1), lc_extract)
+    complex_lam = GroupAction((f0, f1), lambda g: tuple(map(complex, lc_extract(g))))
+    for action in (complex_flow, complex_lam):
+        yield from _solves(dataclasses.replace(lc, action=action), (0.5, 0.0), 0.0, 1.0, 4)
+
+
+def _mat_exp_cases(sizes):
+    """mat_exp on three random n x n matrices at each of MAT_EXP_NORMS."""
+    rng = np.random.default_rng(30)
+    for n in sizes:
+        for norm in MAT_EXP_NORMS:
+            for i in range(3):
+                a = rng.normal(size=(n, n))
+                a *= norm / np.linalg.norm(a)
+                yield (n, norm, i), functools.partial(mat_exp, a)
+
+
+def _diagonal_cases():
+    """mat_exp on diagonal inputs: the exact path."""
+    for n in (2, 3, 4):
+        yield (n, "zero"), functools.partial(mat_exp, np.zeros((n, n)))
+        for norm in (1e-9, 0.2, 3.0, 700.0):
+            d = np.linspace(-1.0, 1.0, n) * norm
+            yield (n, norm), functools.partial(mat_exp, np.diag(d))
+            signed = np.diag(d)
+            signed[1, 0] = -0.0
+            yield (n, norm, "-0.0"), functools.partial(mat_exp, signed)
 
 
 def _second_run(run):
@@ -243,6 +291,8 @@ def main() -> int:
         ("integrate-group", _group_cases()),
         ("limit-cycle", _limit_cycle_cases()),
         ("errors", _error_cases()),
+        ("mat-exp-n2-n3", _mat_exp_cases((2, 3))),
+        ("mat-exp-n4-diagonal", itertools.chain(_mat_exp_cases((4,)), _diagonal_cases())),
     )
     for name, cases in groups:
         h = hashlib.sha256()
