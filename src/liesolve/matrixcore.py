@@ -3,9 +3,10 @@
 Everything in this package runs on tiny dense real matrices (2x2 and 3x3 in
 practice, n <= 16 tested), so the exponential uses plain scaling-and-squaring
 with a Taylor kernel whose degree follows the norm, instead of Pade
-machinery.  At n <= 3 the Taylor polynomial is reduced by Cayley-Hamilton to
-coordinates on I, B and B^2 (_taylor_cayley_hamilton); at n >= 4 Horner
-multiplies matrices and adds the identity terms of _eye_terms.
+machinery.  At n = 3 (the CK systems) the Taylor polynomial is reduced by
+Cayley-Hamilton to coordinates on I, B and B^2 (_taylor_cayley_hamilton); at
+every other n Horner multiplies matrices and adds the identity terms of
+_eye_terms.
 """
 
 import bisect
@@ -28,7 +29,7 @@ _FLOAT64 = np.dtype(float)  # the dtype of every matrix a step passes to mat_exp
 @functools.cache
 def _eye_terms(n: int) -> tuple:
     """The identity terms I / j! of the n x n Taylor polynomial, j <=
-    TAYLOR_ORDER, built once per size n >= 4 (smaller n take the
+    TAYLOR_ORDER, built once per size n != 3 (n = 3 takes the
     Cayley-Hamilton path).  Read-only: mat_exp only adds them into arrays
     of its own."""
     terms = tuple(np.eye(n) * c for c in _INV_FACTORIALS)
@@ -56,28 +57,18 @@ def _all_finite(a: np.ndarray) -> bool:
 
 
 def _taylor_cayley_hamilton(b: np.ndarray, p: list, m: int) -> np.ndarray:
-    """sum_{j<=m} B^j / j! for a 2 x 2 or 3 x 3 B whose entries, row-major,
-    are the Python floats p.
+    """sum_{j<=m} B^j / j! for a 3 x 3 B whose entries, row-major, are the
+    Python floats p.
 
     By Cayley-Hamilton every power of B is x I + y B + z B^2, with
     B^3 = e1 B^2 - e2 B + e3 I (e1 = tr B, e2 its principal 2 x 2 minors,
-    e3 = det B; at n = 2, B^2 = e1 B - e2 I and z = 0).  So Horner's
-    acc = B acc + I/j! runs on the coordinates (x, y, z), three float
-    updates per degree, and the one numpy product is B^2.  The sum is
+    e3 = det B).  So Horner's acc = B acc + I/j! runs on the coordinates
+    (x, y, z), three float updates per degree, and the one numpy product
+    is B^2.  The sum is
     I + B q(B) with q = sum_{1<=j<=m} B^(j-1) / j!; its I is added last,
     1 + (x + y b_ii + z b2_ii), so that each diagonal entry is rounded once
     after the small terms are summed."""
     c = _INV_FACTORIALS
-    if len(p) == 4:
-        b00, b01, b10, b11 = p
-        e1, e2 = b00 + b11, b00 * b11 - b01 * b10
-        x, y = c[m], 0.0
-        for j in range(m - 1, 0, -1):  # B (x I + y B) = -y e2 I + (x + y e1) B
-            x, y = c[j] - y * e2, x + y * e1
-        x, y = -y * e2, x + y * e1
-        acc = np.array([1.0 + (x + y * b00), y * b01, y * b10, 1.0 + (x + y * b11)])
-        acc.shape = (2, 2)  # in place: the result owns its data
-        return acc
     q = b.dot(b).ravel().tolist()
     b00, b01, b02, b10, b11, b12, b20, b21, b22 = p
     e1 = b00 + b11 + b22
@@ -92,7 +83,7 @@ def _taylor_cayley_hamilton(b: np.ndarray, p: list, m: int) -> np.ndarray:
     for i in (0, 4, 8):
         entries[i] = 1.0 + (x + entries[i])
     acc = np.array(entries)
-    acc.shape = (3, 3)
+    acc.shape = (3, 3)  # in place: the result owns its data
     return acc
 
 
@@ -114,11 +105,11 @@ def mat_exp(a: np.ndarray) -> np.ndarray:
     bound ||B||^(m+1) / (m+1)! is <= 2^-56 (m = 6 at ||B|| = 6e-3, m = 12
     at the largest ||B||, 1/4).  The polynomial sum_{j<=m} B^j / j! is
     evaluated by Horner in coefficient form, acc = B acc + I/j!.  At
-    n = 2 and 3 that recurrence runs on the coordinates of acc on I, B and
-    B^2 (Cayley-Hamilton), a few float updates per degree and one product,
-    B^2, at any degree (none at n = 2).  At n >= 4 it costs one product
-    and one in-place sum per degree; the terms I/j! are built once per
-    size n.  The products (B^2, Horner's at n >= 4 and the squarings') go
+    n = 3 that recurrence runs on the coordinates of acc on I, B and B^2
+    (Cayley-Hamilton), three float updates per degree and one product,
+    B^2, at any degree.  At every other n it costs one product and one
+    in-place sum per degree; the terms I/j! are built once per size n.
+    The products (B^2 at n = 3, Horner's elsewhere and the squarings') go
     through ndarray.dot, which gives the same bits as @ on C-contiguous
     float64 input at about half its call cost.  Relative error <= 1e-13 in
     Frobenius norm for ||A||_F <= 10.
@@ -153,7 +144,7 @@ def mat_exp(a: np.ndarray) -> np.ndarray:
         scale = math.ldexp(1.0, -s)  # 2.0 ** s overflows for s > 1023
         b = a * scale if s else a
         m = min(bisect.bisect_left(_DEGREE_BOUNDS, nrm * scale) + 1, TAYLOR_ORDER)
-        if n <= 3:
+        if n == 3:
             acc = _taylor_cayley_hamilton(b, b.ravel().tolist() if s else entries, m)
         else:
             # two numpy calls per degree and no np.eye per call: at small n

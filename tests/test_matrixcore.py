@@ -175,12 +175,12 @@ def _jordan(n, lam, nu, blocks):
 @pytest.mark.parametrize("lam", [0.0, 1e-3, -0.7, 2.5])
 @pytest.mark.parametrize("nu", [1e-8, 0.1, 1.0])
 def test_mat_exp_of_defective_and_repeated_eigenvalues_matches_mpmath(blocks, lam, nu):
-    # the Cayley-Hamilton path at n = 2 and 3 never divides by eigenvalue
-    # gaps: defective and repeated eigenvalues, as Jordan blocks, similar
-    # to them (a non-triangular A) and, for (2, 1), a repeated eigenvalue
-    # with two eigenvectors, are as accurate as generic input.  Every A
-    # here has ||A||_F <= 7; the worst relative error measured was 3.5e-15,
-    # as with the Horner path, and the bound leaves 2.8x.
+    # neither the Cayley-Hamilton path (n = 3) nor Horner (n = 2) divides
+    # by eigenvalue gaps: defective and repeated eigenvalues, as Jordan
+    # blocks, similar to them (a non-triangular A) and, for (2, 1), a
+    # repeated eigenvalue with two eigenvectors, are as accurate as generic
+    # input.  Every A here has ||A||_F <= 7; the worst relative error
+    # measured was 3.5e-15 on both paths, and the bound leaves 2.8x.
     mpmath = pytest.importorskip("mpmath")
     n = sum(blocks)
     similar = np.eye(n) + 0.5 * np.random.default_rng(n).normal(size=(n, n))
@@ -233,7 +233,7 @@ def _squared(acc, s):
 
 
 def _mat_exp_with_matmul(a):
-    """mat_exp's path at n >= 4, Horner, with every product as @:
+    """mat_exp's path at n != 3, Horner, with every product as @:
     (exp(A), degree m, squarings s) for a non-diagonal A."""
     n = len(a)
     b, m, s = _scaled(a)
@@ -244,21 +244,12 @@ def _mat_exp_with_matmul(a):
 
 
 def _mat_exp_cayley_hamilton_with_matmul(a):
-    """mat_exp's path at n = 2 and 3, with B^2 and the squarings as @:
-    Horner on the coordinates (x, y, z) of acc = x I + y B + z B^2, reduced
-    by the characteristic polynomial, then I + B q(B) with the I added
-    last.  (exp(A), degree m, squarings s) for a non-diagonal A."""
+    """mat_exp's path at n = 3, with B^2 and the squarings as @: Horner on
+    the coordinates (x, y, z) of acc = x I + y B + z B^2, reduced by the
+    characteristic polynomial, then I + B q(B) with the I added last.
+    (exp(A), degree m, squarings s) for a non-diagonal A."""
     b, m, s = _scaled(a)
     c = _INV_FACTORIALS
-    if len(a) == 2:
-        (b00, b01), (b10, b11) = b.tolist()
-        e1, e2 = b00 + b11, b00 * b11 - b01 * b10
-        x, y = c[m], 0.0
-        for j in range(m - 1, 0, -1):
-            x, y = c[j] - y * e2, x + y * e1
-        x, y = -y * e2, x + y * e1
-        acc = np.array([[1.0 + (x + y * b00), y * b01], [y * b10, 1.0 + (x + y * b11)]])
-        return _squared(acc, s), m, s
     rows, squares = b.tolist(), (b @ b).tolist()
     (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = rows
     e1 = b00 + b11 + b22
@@ -281,8 +272,8 @@ def test_mat_exp_products_give_the_bits_of_matmul():
     # much per call at 3 x 3; on C-contiguous float64 both run the same
     # dgemm.  If a numpy or BLAS upgrade ever separates the two paths, this
     # says so before a tolerance downstream drifts.  Each path has its
-    # mirror: Horner at n >= 4, Cayley-Hamilton at n = 2 and 3 (where B^2
-    # and the squarings are the products).  The norms are those of
+    # mirror: Cayley-Hamilton at n = 3 (where B^2 and the squarings are the
+    # products), Horner at every other n.  The norms are those of
     # test_mat_exp_matches_mpmath, one just under each degree's bound and
     # two more, so that every degree and squaring count shows on each path.
     norms = [1e-9, 1e-4, 6e-3, 0.05, 0.2, 0.26, 1.0, 3.0, 10.0, 1.6, 6.0]
@@ -290,7 +281,7 @@ def test_mat_exp_products_give_the_bits_of_matmul():
     rng = np.random.default_rng(25)
     seen = {_mat_exp_with_matmul: set(), _mat_exp_cayley_hamilton_with_matmul: set()}
     for n in (2, 3, 4, 16):
-        mirror = _mat_exp_cayley_hamilton_with_matmul if n <= 3 else _mat_exp_with_matmul
+        mirror = _mat_exp_cayley_hamilton_with_matmul if n == 3 else _mat_exp_with_matmul
         for norm in norms:
             for _ in range(3):
                 a = rng.normal(size=(n, n))
