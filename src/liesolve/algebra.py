@@ -201,7 +201,7 @@ def _compile_kernels(n: int, r: int, pattern: tuple, entries: tuple):
 @dataclass(frozen=True)
 class CoefficientSet:
     """The scalar coefficients b_a(t) building A(t) = sum_a b_a(t) M_a,
-    with optional analytic first/second derivatives."""
+    with analytic first and second derivatives d1 and d2, or neither."""
 
     funcs: tuple
     d1: Optional[tuple] = None
@@ -212,9 +212,12 @@ class CoefficientSet:
         for name in ("d1", "d2"):
             derivs = getattr(self, name)
             if derivs is not None:
-                object.__setattr__(self, name, tuple(derivs))
+                derivs = tuple(derivs)  # a generator has no len()
+                object.__setattr__(self, name, derivs)
                 if len(derivs) != len(self.funcs):
                     raise ValueError(f"{name} arity mismatch")
+        if (self.d1 is None) != (self.d2 is None):
+            raise ValueError("give both analytic derivatives d1 and d2, or neither")
 
     @property
     def r(self) -> int:
@@ -225,35 +228,11 @@ class CoefficientSet:
         return _floats(self.funcs, t, "value")
 
     def derivatives(self, t: float):
-        """(b'(t), b''(t)) as two lists of Python floats, analytic where
-        derivatives were supplied and central differences of values
-        otherwise: the five-point stencil for b', the three-point one for
-        b'', with step max(1e-4, 1e-4 |t|).  Only the stencils of missing
-        derivatives are evaluated and checked, with values in increasing t:
-        at t - 2h, t - h, t, t + h, t + 2h for both, at t - h, t, t + h for
-        b'' alone and at t - 2h, t - h, t + h, t + 2h for b' alone."""
-        fd1 = fd2 = []
-        if self.d1 is None or self.d2 is None:
-            # the step balances truncation against round-off at double
-            # precision for smooth coefficients
-            h = max(1e-4, 1e-4 * abs(t))
-            fm2 = _floats(self.funcs, t - 2 * h, "value") if self.d1 is None else None
-            fm1 = _floats(self.funcs, t - h, "value")
-            f0 = _floats(self.funcs, t, "value") if self.d2 is None else None
-            fp1 = _floats(self.funcs, t + h, "value")
-            fp2 = _floats(self.funcs, t + 2 * h, "value") if self.d1 is None else None
-            if self.d1 is None:
-                fd1 = [
-                    (-p2 + 8.0 * p1 - 8.0 * m1 + m2) / (12.0 * h)
-                    for m2, m1, p1, p2 in zip(fm2, fm1, fp1, fp2)
-                ]
-            if self.d2 is None:
-                fd2 = [(p1 - 2.0 * x + m1) / (h * h) for m1, x, p1 in zip(fm1, f0, fp1)]
-            if not all(map(math.isfinite, fd1 + fd2)):
-                raise ValueError(f"non-finite derivative estimate at t={t}")
-        d1 = fd1 if self.d1 is None else _floats(self.d1, t, "derivative")
-        d2 = fd2 if self.d2 is None else _floats(self.d2, t, "derivative")
-        return d1, d2
+        """(b'(t), b''(t)) from the analytic d1 and d2, as two lists of
+        Python floats; a set without them raises ValueError."""
+        if self.d1 is None:
+            raise ValueError("no analytic derivatives: d1 and d2 were not given")
+        return _floats(self.d1, t, "derivative"), _floats(self.d2, t, "derivative")
 
 
 def _floats(funcs: tuple, t: float, what: str) -> list:

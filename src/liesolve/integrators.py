@@ -3,7 +3,8 @@ the group recursion Y_{k+1} = exp(W_k) Y_k, and a plain RK4 baseline.
 
 Each method samples b(t) at its nodes (_METHODS), and its kernel combines
 the samples into the coordinates w of W_k, a list of r Python floats up to
-AlgebraBasis.element.  Magnus-4 and RKMK run their stages on such lists,
+AlgebraBasis.element; Magnus-4 without analytic b', b'' estimates them
+from rkmk's nodes.  Magnus-4 and RKMK run their stages on such lists,
 through the basis's compiled kernels: the bracket and the order-2
 dexp-inverse (AlgebraBasis.dexpinv2).
 _group_step, the one group-side step, samples b(t) and moves x to
@@ -24,7 +25,8 @@ from .matrixcore import _all_finite, mat_exp
 # The samples each method's kernel, <method>_increment, combines, in order:
 # b(t_k + c h) ("values") or (b', b'') there ("derivatives") at the node c.
 # The kernel is looked up by name when a solve starts, so that one rebound
-# here steps; none checks h > 0, which comes from _time_grid.
+# here steps; none checks h > 0, which comes from _time_grid.  A set without
+# analytic derivatives steps magnus4 on rkmk's nodes (_magnus4_from_values).
 _METHODS = {
     "magnus2": (("values", 0.5),),
     "magnus4": (("values", 0.5), ("derivatives", 0.5)),
@@ -99,6 +101,17 @@ def magnus4_increment(basis: AlgebraBasis, samples: list, h: float) -> list:
     return [h * x + h ** 3 * (y / 24.0 - z) for x, y, z in zip(b, d2, ad)]
 
 
+def _magnus4_from_values(basis: AlgebraBasis, samples: list, h: float) -> list:
+    """magnus4_increment on samples = [b(t_k), b(t_k + h/2), b(t_k + h)]
+    with b' = (b_1 - b_0)/h and b'' = 4 (b_1 - 2 b_1/2 + b_0)/h^2: O(h^2)
+    estimates, which keep order 4 under the h^3 terms.  On an abelian basis
+    w is Simpson's rule, h (b_0 + 4 b_1/2 + b_1)/6."""
+    b0, b_half, b1 = samples
+    d1 = [(y - x) / h for x, y in zip(b0, b1)]
+    d2 = [4.0 * (y - 2.0 * m + x) / (h * h) for x, m, y in zip(b0, b_half, b1)]
+    return magnus4_increment(basis, [b_half, (d1, d2)], h)
+
+
 # Weights of the classical RK4 tableau, whose nodes are c = 0, 1/2, 1/2, 1.
 _RK4_WEIGHTS = np.array([1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0])
 
@@ -154,7 +167,10 @@ def _group_step(basis: AlgebraBasis, coeffs: CoefficientSet, config: StepperConf
     if not isinstance(config, StepperConfig):
         raise TypeError(f"config must be a StepperConfig, got {config!r}")
     increment = globals()[f"{config.method}_increment"]
-    samplers = [(getattr(coeffs, what), c) for what, c in _METHODS[config.method]]
+    nodes = _METHODS[config.method]
+    if config.method == "magnus4" and coeffs.d1 is None:
+        increment, nodes = _magnus4_from_values, _METHODS["rkmk"]
+    samplers = [(getattr(coeffs, what), c) for what, c in nodes]
 
     def step(k: int, t: float, h: float, x: np.ndarray) -> np.ndarray:
         try:

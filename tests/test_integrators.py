@@ -13,6 +13,7 @@ from liesolve.integrators import (
     GEOMETRIC_METHODS,
     NonFiniteStateError,
     StepperConfig,
+    _magnus4_from_values,
     integrate_group,
     magnus2_increment,
     magnus4_increment,
@@ -35,13 +36,20 @@ def diagonal_basis():
     )
 
 
+def estimated(method, coeffs):
+    """Whether a step of method on coeffs estimates b' and b'' from b:
+    magnus4 on a set without analytic derivatives."""
+    return method == "magnus4" and coeffs.d1 is None
+
+
 def samples(method, coeffs, t, h):
     """What a step of method from t samples, at node times written out by
-    hand: b at t + h/2 for magnus2, with (b', b'') there for magnus4, and
-    b at t, t + h/2 and t + h for rkmk."""
+    hand: b at t + h/2 for magnus2, with (b', b'') there for magnus4 on
+    analytic derivatives, and b at t, t + h/2 and t + h for rkmk and for
+    magnus4 without them."""
     if method == "magnus2":
         return [coeffs.values(t + 0.5 * h)]
-    if method == "magnus4":
+    if method == "magnus4" and not estimated(method, coeffs):
         return [coeffs.values(t + 0.5 * h), coeffs.derivatives(t + 0.5 * h)]
     return [coeffs.values(t), coeffs.values(t + 0.5 * h), coeffs.values(t + h)]
 
@@ -50,8 +58,9 @@ KERNELS = {"magnus2": magnus2_increment, "magnus4": magnus4_increment, "rkmk": r
 
 
 def increment(method, basis, coeffs, t, h):
-    """w of method's kernel on the samples of a step from t."""
-    return KERNELS[method](basis, samples(method, coeffs, t, h), h)
+    """w of the kernel a step of method from t runs, on its samples."""
+    kernel = _magnus4_from_values if estimated(method, coeffs) else KERNELS[method]
+    return kernel(basis, samples(method, coeffs, t, h), h)
 
 
 def a_matrix(basis, coeffs, t):
@@ -117,6 +126,18 @@ def test_magnus4_analytic_vs_finite_difference():
     w_a = increment("magnus4", basis, analytic, 3.0, 0.1)
     w_fd = increment("magnus4", basis, fd_only, 3.0, 0.1)
     assert np.abs(basis.element(w_a) - basis.element(w_fd)).max() <= 1e-6
+
+
+def test_derivative_free_magnus4_is_simpson_on_an_abelian_basis():
+    # every bracket is 0, so h b_1/2 + h^3 b''/24 with b'' = 4 (b_1 - 2 b_1/2
+    # + b_0)/h^2 is Simpson's rule on the step's three samples
+    basis = diagonal_basis()
+    coeffs = CoefficientSet(funcs=(lambda t: 1.0 + t * t, math.exp))
+    for t, h in ((0.3, 0.1), (1.0, 0.01), (3.0, 1e-3)):
+        b0, b_half, b1 = (np.array(coeffs.values(s)) for s in (t, t + 0.5 * h, t + h))
+        simpson = h * (b0 + 4.0 * b_half + b1) / 6.0
+        w = increment("magnus4", basis, coeffs, t, h)
+        assert np.linalg.norm(w - simpson) <= 1e-15 * np.linalg.norm(simpson), (t, h)
 
 
 def test_rkmk_constant_field_any_table():
@@ -191,13 +212,12 @@ def test_each_method_samples_its_nodes():
     basis = ck_generators(CKParams(0.8, -0.5))
     t, h = 3.0, 3.1 - 3.0
     mid = t + 0.5 * h
-    d = max(1e-4, 1e-4 * abs(mid))  # CoefficientSet's difference step
-    stencil = {mid - 2 * d, mid - d, mid, mid + d, mid + 2 * d}
+    nodes = {("b", t), ("b", mid), ("b", t + h)}
     cases = [
         ("magnus2", True, {("b", mid)}, 3),
         ("magnus4", True, {("b", mid), ("d1", mid), ("d2", mid)}, 9),
-        ("magnus4", False, {("b", x) for x in stencil}, 18),
-        ("rkmk", True, {("b", t), ("b", mid), ("b", t + h)}, 9),
+        ("magnus4", False, nodes, 9),
+        ("rkmk", True, nodes, 9),
     ]
     for method, analytic, expected, calls in cases:
         log = []
@@ -335,6 +355,29 @@ def test_integrate_group_reports_magnus4_h_cubed_overflow():
         assert np.isfinite(group.points).all()
 
 
+def test_derivative_free_magnus4_reports_an_overflowing_estimate():
+    # finite samples whose difference b_1 - b_0 = -2e308 overflows: the
+    # typed step error with the cut partial, from integrate_group and from
+    # solve, and no RuntimeWarning on the way
+    z = lambda t: 0.0
+    coeffs = CoefficientSet(funcs=(lambda t: 1e308 if t < 3.5 else -1e308, z, z))
+    system = ck_lie_system(CKParams(0.8, -0.5), coeffs)
+    config = StepperConfig("magnus4")
+    runs = (
+        lambda: integrate_group(system.basis, coeffs, config, 3.0, 4.0, 1),
+        lambda: solve(system, [1.0, 1.0, 1.0], 3.0, 4.0, 1, config),
+    )
+    for run in runs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteStateError) as excinfo:
+                run()
+        err = excinfo.value
+        assert str(err) == "non-finite group element at step 0 (t=3)"
+        assert err.step == 0
+        assert len(err.partial.times) == len(err.partial.points) == 1
+
+
 @pytest.mark.parametrize("method", GEOMETRIC_METHODS)
 def test_integrate_group_non_finite_coefficient_keeps_value_error(method):
     # only the increment's OverflowError becomes the step error
@@ -344,6 +387,42 @@ def test_integrate_group_non_finite_coefficient_keeps_value_error(method):
     with pytest.raises(ValueError, match="non-finite coefficient value") as excinfo:
         integrate_group(basis, coeffs, StepperConfig(method), 0.0, 1.0, 1)
     assert not isinstance(excinfo.value, NonFiniteStateError)
+
+
+def test_derivative_free_magnus4_keeps_order_4_far_from_t_0():
+    # bounded coefficients on [t0, t0 + 2]: without analytic derivatives the
+    # error falls as h^4 at every t0 and stays near the analytic set's,
+    # whatever the size of t
+    basis = ck_generators(CKParams(0.8, -0.5))
+    analytic = CoefficientSet(
+        funcs=(math.cos, lambda t: 0.5 * math.sin(2.0 * t), lambda t: 0.3),
+        d1=(lambda t: -math.sin(t), lambda t: math.cos(2.0 * t), lambda t: 0.0),
+        d2=(lambda t: -math.cos(t), lambda t: -2.0 * math.sin(2.0 * t), lambda t: 0.0),
+    )
+    free = CoefficientSet(funcs=analytic.funcs)
+    config = StepperConfig("magnus4")
+    for t0 in (0.0, 1e3, 1e5):
+        ref = integrate_group(basis, analytic, config, t0, t0 + 2.0, 1280).points[-1]
+        errors = {}
+        for name, coeffs in (("analytic", analytic), ("free", free)):
+            for n in (20, 80):
+                y = integrate_group(basis, coeffs, config, t0, t0 + 2.0, n).points[-1]
+                errors[name, n] = np.linalg.norm(y - ref)
+        assert errors["free", 20] >= 12.0 * errors["free", 80], (t0, errors)
+        for n in (20, 80):
+            assert errors["free", n] <= 2.0 * errors["analytic", n], (t0, n, errors)
+
+
+@pytest.mark.parametrize("n", [10, 1000])
+def test_derivative_free_magnus4_samples_only_the_span(n):
+    # b = sqrt(t) has no value before t0 = 0; the step's own nodes stay in
+    # [t0, t1], so magnus4 steps from t0 as rkmk does, to its order
+    basis = ck_generators(CKParams(0.8, -0.5))
+    coeffs = CoefficientSet(funcs=(math.sqrt,) * 3)
+    m4 = integrate_group(basis, coeffs, StepperConfig("magnus4"), 0.0, 1e-3, n).points
+    rk = integrate_group(basis, coeffs, StepperConfig("rkmk"), 0.0, 1e-3, n).points
+    assert np.isfinite(m4).all()
+    assert np.abs(m4 - rk).max() <= 1e-15
 
 
 def test_integrate_group_matches_fine_reference(ck_group_reference):
@@ -460,18 +539,30 @@ def test_magnus4_matches_matrix_formula(coordinate_system, analytic):
     for t_k, h in ((0.3, 0.1), (3.0, 0.05), (1.0, 0.4)):
         t_half = t_k + 0.5 * h
         a = a_matrix(basis, coeffs, t_half)
-        d1, d2 = map(basis.element, coeffs.derivatives(t_half))
+        if analytic:
+            d1, d2 = map(basis.element, coeffs.derivatives(t_half))
+        else:
+            # the estimates from the step's samples at t_k, t_k + h/2, t_k + h
+            a0, a1 = a_matrix(basis, coeffs, t_k), a_matrix(basis, coeffs, t_k + h)
+            d1, d2 = (a1 - a0) / h, 4.0 * (a1 - 2.0 * a + a0) / h ** 2
         expected = h * a + h ** 3 * (d2 / 24.0 - commutator(a, d1 / 12.0))
         w = increment("magnus4", basis, coeffs, t_k, h)
         assert relative_error(basis.element(w), expected) <= 1e-14
 
 
-@pytest.mark.parametrize("method", ["magnus2", "magnus4"])
-def test_magnus_increments_are_time_symmetric(coordinate_system, method):
+@pytest.mark.parametrize(
+    "method, analytic",
+    [("magnus2", True), ("magnus4", True), ("magnus4", False)],
+    ids=["magnus2", "magnus4", "magnus4-derivative-free"],
+)
+def test_magnus_increments_are_time_symmetric(coordinate_system, method, analytic):
     # both Magnus methods are symmetric: the step from t + h back by -h
     # undoes the step from t, w(t, h) = -w(t + h, -h), up to the rounding
-    # of the midpoint.  RKMK on the RK4 tableau is not symmetric.
+    # of the midpoint.  RKMK on the RK4 tableau is not symmetric.  So are
+    # magnus4's estimates of b' and b'' from b at t, t + h/2 and t + h.
     basis, coeffs = coordinate_system
+    if not analytic:
+        coeffs = CoefficientSet(funcs=coeffs.funcs)
     for t in (0.3, 1.0, 3.0):
         for h in (0.1, 0.01, 1e-3):
             w = np.asarray(increment(method, basis, coeffs, t, h))

@@ -5,7 +5,6 @@ import warnings
 import numpy as np
 import pytest
 
-from liesolve.algebra import CoefficientSet
 from liesolve.matrixcore import (
     _DEGREE_BOUNDS,
     _INV_FACTORIALS,
@@ -321,28 +320,3 @@ def test_mat_exp_identity_terms_do_not_leak_into_results():
             term = term @ a / j
             ref = ref + term
         assert np.linalg.norm(expected - ref) <= 1e-13 * np.linalg.norm(ref)
-
-
-# The central-difference stencil lives in CoefficientSet: b' on five points,
-# b'' on three, with step h = max(1e-4, 1e-4 |t|).  A matrix curve c(t) M is
-# the coefficient set with entries c(t) M_ij.
-def _curve(c, m):
-    return CoefficientSet(funcs=tuple(lambda t, w=w: w * c(t) for w in m.ravel()))
-
-
-def test_central_derivatives_constant_and_linear():
-    m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    d1, d2 = _curve(lambda t: 1.0, m).derivatives(0.7)
-    assert np.abs(d1).max() <= 1e-10
-    assert np.abs(d2).max() <= 1e-7
-    d1, d2 = _curve(lambda t: t, m).derivatives(0.7)
-    assert np.allclose(d1, m.ravel(), atol=1e-10)
-    assert np.abs(d2).max() <= 1e-7
-
-
-def test_central_derivatives_sine():
-    m = np.array([[1.0, -2.0], [0.5, 3.0]])
-    step = 1e-4
-    d1, d2 = _curve(math.sin, m).derivatives(0.0)
-    assert np.abs(d1 - m.ravel()).max() <= 10 * step ** 2
-    assert np.abs(d2).max() <= 10 * step ** 2

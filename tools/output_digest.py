@@ -25,6 +25,9 @@ The groups:
 * ck-linear, ck-flow-composition: CK systems with kappa1, kappa2 in
   {-0.5, 0, 0.8} (all nine sign classes) with the stock coefficients on
   [3, 4] at N in {10, 40, 300}, by magnus2, magnus4, rkmk and direct RK4;
+* ck-derivative-free: the same nine linear CK systems and grids by
+  magnus4 alone, with the stock coefficients' values only (no analytic
+  derivatives), so that the bracket term runs on estimated b' and b'';
 * integrate-group: the group solutions Y_k of the nine CK bases and of the
   limit cycle's diagonal basis, at N = 40 by each geometric method;
 * limit-cycle: starts inside, on and outside the unit circle, on [0, 2] at
@@ -165,6 +168,16 @@ def _ck_cases(mode):
                     yield ((k1, k2), label), run
 
 
+def _ck_derivative_free_cases():
+    coeffs = CoefficientSet(funcs=ck_benchmark_coefficients().funcs)
+    config = StepperConfig("magnus4")
+    for k1 in KAPPAS:
+        for k2 in KAPPAS:
+            system = ck_lie_system(CKParams(k1, k2), coeffs)
+            for n in CK_STEPS:
+                yield ((k1, k2), n), functools.partial(solve, system, CK_X0, 3.0, 4.0, n, config)
+
+
 def _group_cases():
     ck_coeffs = ck_benchmark_coefficients()
     lc = limit_cycle_system(math.sin, math.exp)
@@ -288,6 +301,7 @@ def main() -> int:
     groups = (
         ("ck-linear", _ck_cases("linear")),
         ("ck-flow-composition", _ck_cases("flow-composition")),
+        ("ck-derivative-free", _ck_derivative_free_cases()),
         ("integrate-group", _group_cases()),
         ("limit-cycle", _limit_cycle_cases()),
         ("errors", _error_cases()),
