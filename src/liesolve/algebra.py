@@ -200,8 +200,8 @@ def _compile_kernels(n: int, r: int, pattern: tuple, entries: tuple):
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """The scalar coefficients b_a(t) building A(t) = sum_a b_a(t) M_a,
-    with analytic first and second derivatives d1 and d2, or neither."""
+    """The scalar coefficients b_a(t) building A(t) = sum_a b_a(t) M_a, with
+    analytic derivatives d1 and d2, or neither: magnus4 then steps on b alone."""
 
     funcs: tuple
     d1: Optional[tuple] = None

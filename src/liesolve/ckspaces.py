@@ -23,7 +23,7 @@ KAPPA_ZERO_TOL = 1e-30
 
 class CoordinateChartError(ActionDomainError, ValueError):
     """Group element outside the second-kind coordinate chart around the
-    identity; callers should shrink the step."""
+    identity; the solve stops at that step with this error."""
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,10 @@ the group recursion Y_{k+1} = exp(W_k) Y_k, and a plain RK4 baseline.
 
 Each method samples b(t) at its nodes (_METHODS), and its kernel combines
 the samples into the coordinates w of W_k, a list of r Python floats up to
-AlgebraBasis.element; Magnus-4 without analytic b', b'' estimates them
-from rkmk's nodes.  Magnus-4 and RKMK run their stages on such lists,
-through the basis's compiled kernels: the bracket and the order-2
-dexp-inverse (AlgebraBasis.dexpinv2).
+AlgebraBasis.element; Magnus-4 without analytic b', b'' is Simpson's
+rule on rkmk's nodes plus one bracket.  Magnus-4 and RKMK run their
+stages on such lists, through the basis's compiled kernels: the bracket
+and the order-2 dexp-inverse (AlgebraBasis.dexpinv2).
 _group_step, the one group-side step, samples b(t) and moves x to
 act(exp(AlgebraBasis.element(w)), x) for integrate_group (act = ndarray.dot)
 and liesystem.solve alike; _record, which every solver hands its step
@@ -102,14 +102,14 @@ def magnus4_increment(basis: AlgebraBasis, samples: list, h: float) -> list:
 
 
 def _magnus4_from_values(basis: AlgebraBasis, samples: list, h: float) -> list:
-    """magnus4_increment on samples = [b(t_k), b(t_k + h/2), b(t_k + h)]
-    with b' = (b_1 - b_0)/h and b'' = 4 (b_1 - 2 b_1/2 + b_0)/h^2: O(h^2)
-    estimates, which keep order 4 under the h^3 terms.  On an abelian basis
-    w is Simpson's rule, h (b_0 + 4 b_1/2 + b_1)/6."""
+    """Order 4 on samples = [b(t_k), b(t_k + h/2), b(t_k + h)]: Simpson's
+    rule plus one bracket, w = h (b_0 + 4 b_1/2 + b_1)/6 - (h^2/12) [b_1/2,
+    b_1 - b_0], magnus4_increment on the O(h^2) estimates b' = (b_1 - b_0)/h
+    and b'' = 4 (b_1 - 2 b_1/2 + b_0)/h^2, with no power of h formed alone."""
     b0, b_half, b1 = samples
-    d1 = [(y - x) / h for x, y in zip(b0, b1)]
-    d2 = [4.0 * (y - 2.0 * m + x) / (h * h) for x, m, y in zip(b0, b_half, b1)]
-    return magnus4_increment(basis, [b_half, (d1, d2)], h)
+    ad = basis.bracket(b_half, [y - x for x, y in zip(b0, b1)])
+    return [h * (x + 4.0 * m + y) / 6.0 - h * (h * z) / 12.0
+            for x, m, y, z in zip(b0, b_half, b1, ad)]
 
 
 # Weights of the classical RK4 tableau, whose nodes are c = 0, 1/2, 1/2, 1.

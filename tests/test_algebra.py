@@ -366,7 +366,7 @@ def test_coefficient_derivatives_are_the_analytic_ones(coordinate_system):
 
 
 def test_derivatives_without_analytic_ones_raise_value_error():
-    # magnus4 estimates b' and b'' from its step's samples instead; a direct
+    # magnus4 steps on its step's samples of b instead; a direct
     # call names what is missing rather than calling None
     with pytest.raises(ValueError, match="no analytic derivatives: d1 and d2"):
         CoefficientSet(funcs=(math.sin,)).derivatives(0.0)

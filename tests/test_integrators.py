@@ -36,9 +36,9 @@ def diagonal_basis():
     )
 
 
-def estimated(method, coeffs):
-    """Whether a step of method on coeffs estimates b' and b'' from b:
-    magnus4 on a set without analytic derivatives."""
+def values_only(method, coeffs):
+    """Whether a step of method on coeffs runs on b alone although its
+    analytic path takes b' and b'': magnus4 on a set without them."""
     return method == "magnus4" and coeffs.d1 is None
 
 
@@ -49,7 +49,7 @@ def samples(method, coeffs, t, h):
     magnus4 without them."""
     if method == "magnus2":
         return [coeffs.values(t + 0.5 * h)]
-    if method == "magnus4" and not estimated(method, coeffs):
+    if method == "magnus4" and not values_only(method, coeffs):
         return [coeffs.values(t + 0.5 * h), coeffs.derivatives(t + 0.5 * h)]
     return [coeffs.values(t), coeffs.values(t + 0.5 * h), coeffs.values(t + h)]
 
@@ -59,7 +59,7 @@ KERNELS = {"magnus2": magnus2_increment, "magnus4": magnus4_increment, "rkmk": r
 
 def increment(method, basis, coeffs, t, h):
     """w of the kernel a step of method from t runs, on its samples."""
-    kernel = _magnus4_from_values if estimated(method, coeffs) else KERNELS[method]
+    kernel = _magnus4_from_values if values_only(method, coeffs) else KERNELS[method]
     return kernel(basis, samples(method, coeffs, t, h), h)
 
 
@@ -118,26 +118,25 @@ def test_magnus4_constant_and_abelian():
     assert np.allclose(basis.element(w), 0.1 * (0.2 + 0.05) * m, atol=1e-14)
 
 
-def test_magnus4_analytic_vs_finite_difference():
+def test_magnus4_analytic_vs_derivative_free():
     ck = CKParams(0.8, -0.5)
     basis = ck_generators(ck)
     analytic = ck_benchmark_coefficients()
-    fd_only = CoefficientSet(funcs=analytic.funcs)
+    free = CoefficientSet(funcs=analytic.funcs)
     w_a = increment("magnus4", basis, analytic, 3.0, 0.1)
-    w_fd = increment("magnus4", basis, fd_only, 3.0, 0.1)
-    assert np.abs(basis.element(w_a) - basis.element(w_fd)).max() <= 1e-6
+    w_free = increment("magnus4", basis, free, 3.0, 0.1)
+    assert np.abs(basis.element(w_a) - basis.element(w_free)).max() <= 1e-6
 
 
 def test_derivative_free_magnus4_is_simpson_on_an_abelian_basis():
-    # every bracket is 0, so h b_1/2 + h^3 b''/24 with b'' = 4 (b_1 - 2 b_1/2
-    # + b_0)/h^2 is Simpson's rule on the step's three samples
+    # every bracket is 0, so w is Simpson's rule on the step's three
+    # samples, to the bit: h (b_0 + 4 b_1/2 + b_1)/6 in that order
     basis = diagonal_basis()
     coeffs = CoefficientSet(funcs=(lambda t: 1.0 + t * t, math.exp))
     for t, h in ((0.3, 0.1), (1.0, 0.01), (3.0, 1e-3)):
-        b0, b_half, b1 = (np.array(coeffs.values(s)) for s in (t, t + 0.5 * h, t + h))
-        simpson = h * (b0 + 4.0 * b_half + b1) / 6.0
-        w = increment("magnus4", basis, coeffs, t, h)
-        assert np.linalg.norm(w - simpson) <= 1e-15 * np.linalg.norm(simpson), (t, h)
+        b0, b_half, b1 = (coeffs.values(s) for s in (t, t + 0.5 * h, t + h))
+        simpson = [h * (x + 4.0 * m + y) / 6.0 for x, m, y in zip(b0, b_half, b1)]
+        assert increment("magnus4", basis, coeffs, t, h) == simpson, (t, h)
 
 
 def test_rkmk_constant_field_any_table():
@@ -339,8 +338,9 @@ def test_integrate_group_reports_increment_overflow(method):
 
 def test_integrate_group_reports_magnus4_h_cubed_overflow():
     # magnus4's h ** 3 overflows a Python float (OverflowError) for
-    # h = 1e103: the typed step error with the cut partial, where magnus2
-    # and rkmk step on, since w = h b stays finite for b = (1e-200, 0, 0)
+    # h = 1e103: the typed step error with the cut partial, where magnus2,
+    # rkmk and derivative-free magnus4, which forms no power of h alone,
+    # step on, since w stays finite for b = (1e-200, 0, 0)
     z = lambda t: 0.0
     coeffs = CoefficientSet(funcs=(lambda t: 1e-200, z, z), d1=(z,) * 3, d2=(z,) * 3)
     basis = ck_generators(CKParams(0.8, -0.5))
@@ -350,9 +350,22 @@ def test_integrate_group_reports_magnus4_h_cubed_overflow():
     assert err.step == 0
     assert isinstance(err.__cause__, OverflowError)
     assert len(err.partial.times) == len(err.partial.points) == 1
-    for method in ("magnus2", "rkmk"):
-        group = integrate_group(basis, coeffs, StepperConfig(method), 0.0, 1e103, 1)
-        assert np.isfinite(group.points).all()
+    free = CoefficientSet(funcs=coeffs.funcs)
+    for method, stepped in (("magnus2", coeffs), ("rkmk", coeffs), ("magnus4", free)):
+        group = integrate_group(basis, stepped, StepperConfig(method), 0.0, 1e103, 1)
+        assert np.isfinite(group.points).all(), method
+
+
+@pytest.mark.parametrize("h", [1e-170, 1e-300])
+def test_derivative_free_magnus4_steps_where_h_squared_underflows(h):
+    # h * h underflows to 0 here; the Simpson form never divides by h or
+    # forms h^2 alone, so magnus4 steps on values as rkmk does
+    basis = ck_generators(CKParams(0.8, -0.5))
+    coeffs = CoefficientSet(funcs=(math.cos,) * 3)
+    m4 = integrate_group(basis, coeffs, StepperConfig("magnus4"), 0.0, h, 1).points[-1]
+    rk = integrate_group(basis, coeffs, StepperConfig("rkmk"), 0.0, h, 1).points[-1]
+    assert np.isfinite(m4).all()
+    assert np.abs(m4 - rk).max() <= 1e-15
 
 
 def test_derivative_free_magnus4_reports_an_overflowing_estimate():
@@ -531,7 +544,7 @@ def relative_error(got, expected):
     return np.linalg.norm(got - expected) / np.linalg.norm(expected)
 
 
-@pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "finite-difference"])
+@pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "derivative-free"])
 def test_magnus4_matches_matrix_formula(coordinate_system, analytic):
     basis, coeffs = coordinate_system
     if not analytic:
@@ -542,7 +555,8 @@ def test_magnus4_matches_matrix_formula(coordinate_system, analytic):
         if analytic:
             d1, d2 = map(basis.element, coeffs.derivatives(t_half))
         else:
-            # the estimates from the step's samples at t_k, t_k + h/2, t_k + h
+            # b' and b'' estimated from the step's samples at t_k, t_k + h/2
+            # and t_k + h: the matrix form the Simpson kernel is checked against
             a0, a1 = a_matrix(basis, coeffs, t_k), a_matrix(basis, coeffs, t_k + h)
             d1, d2 = (a1 - a0) / h, 4.0 * (a1 - 2.0 * a + a0) / h ** 2
         expected = h * a + h ** 3 * (d2 / 24.0 - commutator(a, d1 / 12.0))
@@ -558,8 +572,9 @@ def test_magnus4_matches_matrix_formula(coordinate_system, analytic):
 def test_magnus_increments_are_time_symmetric(coordinate_system, method, analytic):
     # both Magnus methods are symmetric: the step from t + h back by -h
     # undoes the step from t, w(t, h) = -w(t + h, -h), up to the rounding
-    # of the midpoint.  RKMK on the RK4 tableau is not symmetric.  So are
-    # magnus4's estimates of b' and b'' from b at t, t + h/2 and t + h.
+    # of the midpoint.  RKMK on the RK4 tableau is not symmetric.  So is
+    # derivative-free magnus4, Simpson's rule plus one bracket on b at t,
+    # t + h/2 and t + h.
     basis, coeffs = coordinate_system
     if not analytic:
         coeffs = CoefficientSet(funcs=coeffs.funcs)

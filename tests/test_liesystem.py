@@ -609,6 +609,36 @@ def test_solve_reports_increment_overflow(method):
     assert err.partial.points.tolist() == [[1.0, 1.0, 1.0]]
 
 
+@pytest.mark.parametrize("mode", ["linear", "flow-composition"])
+def test_symmetric_solves_return_to_x0(mode):
+    # a solve over [3, 4], then the time-reversed equation over [3, 4] from
+    # x(4), with b~(s) = -b(7 - s), b~'(s) = b'(7 - s), b~''(s) = -b''(7 - s):
+    # the Magnus methods are symmetric, so the second solve undoes the first
+    # to rounding, with or without analytic derivatives; rkmk on the RK4
+    # tableau and direct RK4 are not, and return only to their order
+    coeffs = ck_benchmark_coefficients()
+    flip = lambda funcs, sign: [lambda s, f=f: sign * f(7.0 - s) for f in funcs]
+    back = CoefficientSet(flip(coeffs.funcs, -1.0), flip(coeffs.d1, 1.0), flip(coeffs.d2, -1.0))
+    analytic = (coeffs, back)
+    free = tuple(CoefficientSet(funcs=c.funcs) for c in analytic)
+    x0 = np.array([1.0, 1.0, 1.0])
+
+    def round_trip(method, sets, n):
+        there, back = (ck_lie_system(CKParams(0.8, -0.5), c, mode) for c in sets)
+        if method == "rk4":
+            run = lambda system, x: solve_direct_rk4(system, x, 3.0, 4.0, n).points[-1]
+        else:
+            config = StepperConfig(method)
+            run = lambda system, x: solve(system, x, 3.0, 4.0, n, config).points[-1]
+        return np.linalg.norm(run(back, run(there, x0)) - x0) / np.linalg.norm(x0)
+
+    for n in (40, 160):
+        for method, sets in (("magnus2", analytic), ("magnus4", analytic), ("magnus4", free)):
+            assert round_trip(method, sets, n) <= 1e-14, (method, sets is free, n)
+    assert round_trip("rkmk", analytic, 40) >= 1e-10
+    assert round_trip("rk4", analytic, 40) >= 1e-6
+
+
 def test_solve_reports_magnus4_h_cubed_overflow():
     # h = 1e103 overflows magnus4's h ** 3 on a Python float: a typed step
     # error with the partial trajectory, not a bare OverflowError

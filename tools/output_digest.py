@@ -27,7 +27,10 @@ The groups:
   [3, 4] at N in {10, 40, 300}, by magnus2, magnus4, rkmk and direct RK4;
 * ck-derivative-free: the same nine linear CK systems and grids by
   magnus4 alone, with the stock coefficients' values only (no analytic
-  derivatives), so that the bracket term runs on estimated b' and b'';
+  derivatives), so that it steps by Simpson's rule plus one bracket; and
+  one step of its group solve on the kappa = (0.8, -0.5) basis at the
+  extremes of h: b = cos over [0, 1e-170] and [0, 1e-300], where h^2
+  underflows, and b = (1e-200, 0, 0) over [0, 1e103], where h^3 overflows;
 * integrate-group: the group solutions Y_k of the nine CK bases and of the
   limit cycle's diagonal basis, at N = 40 by each geometric method;
 * limit-cycle: starts inside, on and outside the unit circle, on [0, 2] at
@@ -176,6 +179,11 @@ def _ck_derivative_free_cases():
             system = ck_lie_system(CKParams(k1, k2), coeffs)
             for n in CK_STEPS:
                 yield ((k1, k2), n), functools.partial(solve, system, CK_X0, 3.0, 4.0, n, config)
+    basis = ck_generators(CKParams(0.8, -0.5))
+    cos = CoefficientSet(funcs=(math.cos,) * 3)
+    tiny = CoefficientSet(funcs=(lambda t: 1e-200, lambda t: 0.0, lambda t: 0.0))
+    for values, h in ((cos, 1e-170), (cos, 1e-300), (tiny, 1e103)):
+        yield ("extreme h", h), functools.partial(integrate_group, basis, values, config, 0.0, h, 1)
 
 
 def _group_cases():
